@@ -5,6 +5,8 @@
 // stand-in, see DESIGN.md); the shape — ratios and orderings — is the result.
 //
 // Usage: bench_table1 [frames]   (default 200 = 4 s of speech)
+// Exits nonzero if any shape check fails; registered as the `bench_table1`
+// ctest at the default frame count.
 
 #include <cstdio>
 #include <cstdlib>
@@ -91,5 +93,5 @@ int main(int argc, char** argv) {
     check(u.data_ok && a.data_ok && i.data_ok, "all models deliver every frame intact");
 
     std::printf("\n%s\n", failures == 0 ? "ALL SHAPE CHECKS PASSED" : "SHAPE CHECK FAILURES");
-    return 0;
+    return failures == 0 ? 0 : 1;
 }

@@ -1,9 +1,6 @@
-// Trace-sink recording benchmarks: TraceRecorder (string records) vs
-// obs::BinaryTraceSink (interned-string fixed-width records) fed the same
-// synthetic scheduling trace. Times its own loops and emits BENCH_trace.json
-// so the record-throughput ratio (the PR's >=5x target) is tracked from PR to
-// PR; also measures the binary sink's replay/convert cost, which is the price
-// paid back only when a derived view is actually needed.
+// Trace-store benchmarks: the rate at which trace::TraceRecorder records a
+// synthetic scheduling trace, and the rate at which write_csv renders it.
+// Times its own loops (best of 3) and emits BENCH_trace.json.
 //
 // The workload mirrors what an OsCore emits: a fixed cast of tasks whose
 // names are hierarchical dotted paths (several beyond small-string-
@@ -18,11 +15,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
-#include "obs/binary_trace.hpp"
 #include "sim/time.hpp"
 #include "trace/trace.hpp"
 
@@ -79,7 +76,7 @@ struct Cast {
 /// Feed `records` trace records into `sink` and return the recording rate.
 /// The event mix per 8-record block: 4 task states, 2 context switches, one
 /// IRQ, one channel op — roughly what an RTOS-model run produces.
-Measurement bm_record(trace::TraceSink& sink, const Cast& cast,
+Measurement bm_record(trace::TraceRecorder& sink, const Cast& cast,
                       std::uint64_t records) {
     const std::size_t task_mask = cast.tasks.size() - 1;  // 16 tasks
     std::uint64_t emitted = 0;
@@ -111,6 +108,26 @@ Measurement bm_record(trace::TraceSink& sink, const Cast& cast,
     return finish(emitted, elapsed_ns(t0));
 }
 
+/// Discards what is written and counts the bytes, so write_csv is timed
+/// without holding the whole CSV in memory.
+class CountingBuf final : public std::streambuf {
+public:
+    [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+
+protected:
+    int_type overflow(int_type c) override {
+        ++bytes_;
+        return traits_type::not_eof(c);
+    }
+    std::streamsize xsputn(const char*, std::streamsize n) override {
+        bytes_ += static_cast<std::uint64_t>(n);
+        return n;
+    }
+
+private:
+    std::uint64_t bytes_ = 0;
+};
+
 void emit(std::FILE* f, const char* name, const Measurement& m) {
     std::fprintf(f,
                  "    \"%s\": {\"unit\": \"record\", \"ns_per_item\": %.2f, "
@@ -139,65 +156,55 @@ int main(int argc, char** argv) {
     const int reps = smoke ? 1 : 3;  // best-of to damp allocator noise
     Cast cast;
 
-    Measurement rec_m{}, bin_m{}, replay_m{};
+    Measurement rec_m{}, csv_m{};
+    trace::TraceRecorder keep;  // the last recording, rendered below
     for (int r = 0; r < reps; ++r) {
         trace::TraceRecorder rec;
         const Measurement m = bm_record(rec, cast, records);
         if (r == 0 || m.items_per_sec > rec_m.items_per_sec) {
             rec_m = m;
         }
-    }
-    obs::BinaryTraceSink keep;  // reused below for replay + integrity checks
-    for (int r = 0; r < reps; ++r) {
-        obs::BinaryTraceSink bin;
-        const Measurement m = bm_record(bin, cast, records);
-        if (r == 0 || m.items_per_sec > bin_m.items_per_sec) {
-            bin_m = m;
-        }
         if (r == reps - 1) {
-            keep = std::move(bin);
+            keep = std::move(rec);
         }
     }
-    {
-        trace::TraceRecorder out;
+    std::uint64_t csv_bytes = 0;
+    for (int r = 0; r < reps; ++r) {
+        CountingBuf buf;
+        std::ostream os{&buf};
         const auto t0 = std::chrono::steady_clock::now();
-        keep.replay_into(out);
-        replay_m = finish(keep.size(), elapsed_ns(t0));
-        if (out.records().size() != keep.size()) {
-            std::fprintf(stderr, "bench_trace: replay lost records\n");
-            return 1;
+        keep.write_csv(os);
+        const Measurement m = finish(keep.size(), elapsed_ns(t0));
+        if (r == 0 || m.items_per_sec > csv_m.items_per_sec) {
+            csv_m = m;
         }
+        csv_bytes = buf.bytes();
     }
-    const double speedup = bin_m.items_per_sec / rec_m.items_per_sec;
 
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
         std::perror("bench_trace: fopen");
         return 1;
     }
-    std::fprintf(f, "{\n  \"schema\": \"slm-bench-trace-v1\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"slm-bench-trace-v2\",\n");
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f, "  \"records\": %llu,\n",
                  static_cast<unsigned long long>(rec_m.items));
     std::fprintf(f, "  \"benchmarks\": {\n");
     emit(f, "BM_TraceRecorderRecord", rec_m);
     std::fprintf(f, ",\n");
-    emit(f, "BM_BinaryTraceSinkRecord", bin_m);
-    std::fprintf(f, ",\n");
-    emit(f, "BM_BinaryTraceReplay", replay_m);
-    std::fprintf(f, ",\n    \"speedup_binary_over_recorder\": %.2f,\n", speedup);
+    emit(f, "BM_TraceRecorderWriteCsv", csv_m);
+    std::fprintf(f, ",\n    \"csv_bytes\": %llu,\n",
+                 static_cast<unsigned long long>(csv_bytes));
     std::fprintf(f, "    \"interned_strings\": %llu\n",
                  static_cast<unsigned long long>(keep.string_count()));
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);
 
-    std::printf("trace record     recorder  %10.1f ns/rec %14.0f rec/s\n",
-                rec_m.ns_per_item, rec_m.items_per_sec);
-    std::printf("trace record     binary    %10.1f ns/rec %14.0f rec/s\n",
-                bin_m.ns_per_item, bin_m.items_per_sec);
-    std::printf("binary replay              %10.1f ns/rec %14.0f rec/s\n",
-                replay_m.ns_per_item, replay_m.items_per_sec);
-    std::printf("record speedup binary/recorder: %.1fx\n", speedup);
+    std::printf("trace record     %10.1f ns/rec %14.0f rec/s\n", rec_m.ns_per_item,
+                rec_m.items_per_sec);
+    std::printf("trace write_csv  %10.1f ns/rec %14.0f rec/s\n", csv_m.ns_per_item,
+                csv_m.items_per_sec);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

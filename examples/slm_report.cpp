@@ -2,11 +2,10 @@
 //
 // Three sections, each exercising a different part of src/obs/:
 //
-//   1. Fig. 8 architecture model — recorded through the hot-path
-//      obs::BinaryTraceSink, converted losslessly to a TraceRecorder for the
-//      Gantt chart and utilization table; online per-task analytics
-//      (scheduling latency, response times) from an obs::RtosAnalytics
-//      observer, no trace walk.
+//   1. Fig. 8 architecture model — recorded into a trace::TraceRecorder
+//      (interned fixed-width records) for the Gantt chart and utilization
+//      table; online per-task analytics (scheduling latency, response times)
+//      from an obs::RtosAnalytics observer, no trace walk.
 //   2. Vocoder architecture model — same instrumentation on a bigger model.
 //   3. Vocoder mapping sweep — the slm::sys design-space comparison: every
 //      task->PE assignment on the heterogeneous ARM+DSP platform, ranked by
@@ -45,7 +44,6 @@
 #include "arch/fig3.hpp"
 #include "fault/fault.hpp"
 #include "obs/analytics.hpp"
-#include "obs/binary_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "rtos/os_channels.hpp"
@@ -117,21 +115,20 @@ void print_findings(const obs::RtosAnalytics& analytics) {
 
 void section_fig8() {
     heading("Fig. 8: architecture model (binary trace sink + online analytics)");
-    obs::BinaryTraceSink bin;
+    trace::TraceRecorder rec;
     obs::Registry reg;
     std::unique_ptr<obs::RtosAnalytics> analytics;
     const arch::Fig3Result res = arch::run_fig3_architecture(
-        &bin, {}, {}, [&](rtos::OsCore& os) {
+        &rec, {}, {}, [&](rtos::OsCore& os) {
             analytics = std::make_unique<obs::RtosAnalytics>(os, reg);
         });
-    const trace::TraceRecorder rec = bin.to_recorder();
     if (!g_quiet) {
         std::printf("%s\n",
                     rec.render_gantt(SimTime::zero(), 160_us, 72).c_str());
         std::printf("%s\n",
                     rec.utilization_report(SimTime::zero(), 160_us).c_str());
         std::printf("binary records: %zu (interned strings: %zu)\n\n",
-                    bin.size(), bin.string_count());
+                    rec.size(), rec.string_count());
     }
     print_task_timing(*analytics, {"task_b2", "task_b3", "task_pe"});
     if (!g_quiet) {
@@ -143,19 +140,18 @@ void section_fig8() {
 
 void section_vocoder(std::size_t frames) {
     heading("Vocoder: architecture model");
-    obs::BinaryTraceSink bin;
+    trace::TraceRecorder rec;
     obs::Registry reg;
     std::unique_ptr<obs::RtosAnalytics> analytics;
     vocoder::VocoderConfig cfg;
     cfg.frames = frames;
-    cfg.tracer = &bin;
+    cfg.tracer = &rec;
     cfg.on_os = [&](rtos::OsCore& os) {
         analytics = std::make_unique<obs::RtosAnalytics>(os, reg);
     };
     const vocoder::VocoderResult res = vocoder::run_vocoder_architecture(cfg);
     print_task_timing(*analytics, {"driver", "encoder", "decoder"});
     if (!g_quiet) {
-        const trace::TraceRecorder rec = bin.to_recorder();
         std::printf("\n%s\n",
                     rec.render_gantt(SimTime::zero(), res.sim_duration, 72).c_str());
         std::printf("%zu frames, %llu context switches, avg delay %s, data %s\n",

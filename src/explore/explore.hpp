@@ -133,9 +133,10 @@ public:
 
     [[nodiscard]] sim::Kernel& kernel() { return kernel_; }
 
-    /// The run's trace sink. Pass as RtosConfig::tracer to get task states
-    /// and context switches into failure reports; decision markers land here
-    /// when ExploreConfig::record_choices is set.
+    /// The run's trace recorder, built per path and allocation-free until
+    /// something records into it. Pass as RtosConfig::tracer to get task
+    /// states and context switches into failure reports; decision markers
+    /// land here when ExploreConfig::record_choices is set.
     [[nodiscard]] trace::TraceRecorder& trace() { return trace_; }
 
     /// Construct an object owned by this Run (destroyed before the kernel,

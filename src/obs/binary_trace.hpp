@@ -1,112 +1,11 @@
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
-#include <string>
-#include <string_view>
-
-#include "obs/intern.hpp"
 #include "trace/trace.hpp"
 
 namespace slm::obs {
 
-/// Hot-path trace sink: fixed-width 24-byte records over an interned string
-/// table (obs::StringTable + obs::RecordLog, the machinery shared with
-/// SpanRecorder). Where TraceRecorder copies three strings per record (three
-/// allocations in the worst case), BinaryTraceSink resolves each string to a
-/// 32-bit id — repeat names (the overwhelmingly common case in scheduling
-/// traces: the same tasks, CPUs, and state names over and over) hit a
-/// direct-mapped cache and cost a size check plus memcmp, no allocation.
-/// bench_trace measures the record-throughput ratio (target >= 5x, enforced
-/// by the committed BENCH_trace.json).
-///
-/// The sink is *lossless*: replay_into() re-issues every record through the
-/// TraceSink interface, so converting to a TraceRecorder reproduces exactly
-/// the records that a TraceRecorder in its place would have collected —
-/// derived views and text exporters (CSV/VCD/Chrome) are then byte-identical
-/// (pinned by tests/test_obs.cpp round-trip tests). write_chrome_trace()
-/// additionally exports Chrome trace-event JSON *directly* from the binary
-/// records — byte-identical to to_recorder().write_chrome_trace() without
-/// materializing a TraceRecorder first.
-///
-/// The binary file format (save()/load()) is documented in
-/// docs/observability.md: "SLTB" magic, version, string table, then packed
-/// little-endian records.
-class BinaryTraceSink final : public trace::TraceSink {
-public:
-    /// One fixed-width record; all strings are ids into the string table.
-    /// Field use per kind mirrors trace::Record: `actor` and `detail` carry
-    /// the kind-specific payload (e.g. ContextSwitch: actor = incoming,
-    /// detail = outgoing; ChannelOp: actor = channel, detail = op; Marker:
-    /// detail = text).
-    struct BinRecord {
-        std::uint64_t t_ns;
-        std::uint32_t kind;  ///< trace::RecordKind
-        std::uint32_t cpu;
-        std::uint32_t actor;
-        std::uint32_t detail;
-    };
-    static_assert(sizeof(BinRecord) == 24);
-
-    BinaryTraceSink() = default;
-
-    // ---- recording (TraceSink) ----
-    void exec_begin(SimTime t, std::string_view cpu, std::string_view actor) override;
-    void exec_end(SimTime t, std::string_view cpu, std::string_view actor) override;
-    void task_state(SimTime t, std::string_view cpu, std::string_view actor,
-                    std::string_view state) override;
-    void context_switch(SimTime t, std::string_view cpu, std::string_view to,
-                        std::string_view from) override;
-    void irq(SimTime t, std::string_view cpu, std::string_view irq_name) override;
-    void channel_op(SimTime t, std::string_view channel, std::string_view op) override;
-    void marker(SimTime t, std::string_view text) override;
-
-    void clear();
-
-    // ---- raw access ----
-    [[nodiscard]] const BinRecord& record(std::size_t i) const { return records_[i]; }
-    [[nodiscard]] std::size_t size() const { return records_.size(); }
-    /// The interned string for `id` (asserts on out-of-range ids).
-    [[nodiscard]] const std::string& str(std::uint32_t id) const {
-        return strings_.str(id);
-    }
-    [[nodiscard]] std::size_t string_count() const { return strings_.count(); }
-
-    // ---- conversion ----
-
-    /// Re-issue every record through `out` in order. Lossless: an empty
-    /// TraceRecorder fed this way ends up with exactly the records a direct
-    /// recording would have produced.
-    void replay_into(trace::TraceSink& out) const;
-
-    /// Convenience: replay into a fresh TraceRecorder (derived views, text
-    /// exporters).
-    [[nodiscard]] trace::TraceRecorder to_recorder() const;
-
-    /// Chrome trace-event JSON straight from the binary records (per-actor
-    /// thread rows, X slices from Running intervals, IRQ instants), sharing
-    /// trace::json_escape. Byte-identical to to_recorder().write_chrome_trace()
-    /// — pinned by tests/test_obs.cpp — but without the string-materializing
-    /// detour through TraceRecorder.
-    void write_chrome_trace(std::ostream& os) const;
-
-    // ---- binary file format ----
-
-    /// Write the trace: magic "SLTB", version, string table, records.
-    void save(std::ostream& os) const;
-    /// Load a trace previously save()d, replacing this sink's contents.
-    /// Returns false (leaving the sink cleared) on a malformed stream.
-    [[nodiscard]] bool load(std::istream& is);
-
-private:
-    void push(SimTime t, trace::RecordKind kind, std::uint32_t cpu, std::uint32_t actor,
-              std::uint32_t detail);
-
-    /// Records live in fixed-size chunks (RecordLog): appends never
-    /// reallocate-and-copy. 64Ki records = 1.5 MiB per chunk.
-    RecordLog<BinRecord> records_;
-    StringTable strings_;
-    std::uint64_t last_t_ns_ = 0;  ///< ordering-contract check
-};
+/// Kept only because perfbench/, which is not edited together with the
+/// library, spells this name; new code uses trace::TraceRecorder.
+using BinaryTraceSink = trace::TraceRecorder;
 
 }  // namespace slm::obs

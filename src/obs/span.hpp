@@ -8,9 +8,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/intern.hpp"
 #include "rtos/core.hpp"
 #include "sim/time.hpp"
+#include "trace/intern.hpp"
 
 namespace slm::obs {
 
@@ -118,7 +118,7 @@ public:
 };
 
 /// The recording SpanSink: fixed-width 64-byte records over the interned
-/// string table shared with BinaryTraceSink (obs/intern.hpp). Span id =
+/// string table shared with trace::TraceRecorder (trace/intern.hpp). Span id =
 /// record index + 1, so lookup is O(1) and ids are dense. Emission order is
 /// simulation order, hence deterministic; write_span_json() dumps are
 /// byte-identical across repeat runs and across sweep --jobs counts.
@@ -163,8 +163,8 @@ public:
 private:
     [[nodiscard]] SpanRec& rec_of(std::uint64_t id);
 
-    RecordLog<SpanRec> records_;
-    StringTable strings_;
+    trace::RecordLog<SpanRec> records_;
+    trace::StringTable strings_;
     std::size_t open_ = 0;
 };
 

@@ -368,15 +368,13 @@ private:
     std::uint64_t first_failure_replays_ = 0;
 };
 
-// ---- the campaign engine ----
+// ---- the index pool (campaigns, sweeps, soaks) ----
 
-struct CampaignWorker {
+struct IndexWorker {
     unsigned id = 0;
     WorkDeque<std::size_t> deque;
     std::uint64_t executed = 0;
     std::uint64_t stolen = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
     std::uint64_t busy_ns = 0;
 };
 
@@ -408,54 +406,19 @@ fault::CampaignResult run_campaign(const fault::FaultPlan& plan,
                                    const fault::CampaignRunFn& fn,
                                    const ParallelConfig& pcfg,
                                    ParallelStats* stats_out) {
-    const auto wall0 = Clock::now();
-    const unsigned jobs = resolve_jobs(pcfg.jobs);
-
     fault::CampaignResult res;
     res.runs.resize(cfg.runs);
-
-    std::vector<std::unique_ptr<CampaignWorker>> workers;
-    workers.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i) {
-        workers.push_back(std::make_unique<CampaignWorker>());
-        workers.back()->id = i;
-    }
-    // Seeds are dealt round-robin; stealing rebalances when run times differ
-    // (a crashing seed finishes early, a cascading-overrun seed runs long).
-    std::atomic<std::uint64_t> in_flight{cfg.runs};
-    for (unsigned i = 0; i < cfg.runs; ++i) {
-        workers[i % jobs]->deque.push(i);
-    }
-
     const std::string key_mid =
         pcfg.cache != nullptr
             ? "c/" + pcfg.model_fingerprint + '/' + hex64(fault_plan_digest(plan)) + '/'
             : std::string{};
+    std::atomic<std::uint64_t> cache_hits{0};
+    std::atomic<std::uint64_t> cache_misses{0};
 
-    const auto worker_main = [&](CampaignWorker& w) {
-        std::size_t idx = 0;
-        const auto acquire = [&]() {
-            if (w.deque.pop(idx)) {
-                return true;
-            }
-            for (std::size_t k = 1; k < workers.size(); ++k) {
-                if (workers[(w.id + k) % workers.size()]->deque.steal(idx)) {
-                    ++w.stolen;
-                    return true;
-                }
-            }
-            return false;
-        };
-        for (;;) {
-            if (!acquire()) {
-                if (in_flight.load(std::memory_order_seq_cst) == 0) {
-                    return;
-                }
-                std::this_thread::yield();
-                continue;
-            }
-            const auto t0 = Clock::now();
-            ++w.executed;
+    // One pool item per seed; each run lands in its own seed-ordered slot.
+    for_each_index(
+        cfg.runs, pcfg.jobs,
+        [&](std::size_t idx) {
             const std::uint64_t seed = cfg.first_seed + idx;
             fault::CampaignRun run;
             bool from_cache = false;
@@ -463,7 +426,7 @@ fault::CampaignResult run_campaign(const fault::FaultPlan& plan,
             if (pcfg.cache != nullptr) {
                 key = key_mid + std::to_string(seed);
                 from_cache = pcfg.cache->lookup(key, run);
-                ++(from_cache ? w.cache_hits : w.cache_misses);
+                ++(from_cache ? cache_hits : cache_misses);
             }
             if (!from_cache) {
                 fault::FaultInjector inj(plan, seed);
@@ -475,31 +438,12 @@ fault::CampaignResult run_campaign(const fault::FaultPlan& plan,
                 }
             }
             res.runs[idx] = std::move(run);  // disjoint slots: no lock needed
-            w.busy_ns += since_ns(t0);
-            in_flight.fetch_sub(1, std::memory_order_seq_cst);
-        }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i) {
-        threads.emplace_back([&, i] { worker_main(*workers[i]); });
-    }
-    for (std::thread& t : threads) {
-        t.join();
-    }
+        },
+        stats_out);
 
     if (stats_out != nullptr) {
-        *stats_out = ParallelStats{};
-        stats_out->workers = jobs;
-        stats_out->wall_ns = since_ns(wall0);
-        for (const auto& w : workers) {
-            stats_out->tasks_executed += w->executed;
-            stats_out->tasks_stolen += w->stolen;
-            stats_out->cache_hits += w->cache_hits;
-            stats_out->cache_misses += w->cache_misses;
-            stats_out->busy_ns += w->busy_ns;
-        }
+        stats_out->cache_hits = cache_hits.load();
+        stats_out->cache_misses = cache_misses.load();
     }
     return res;
 }
@@ -529,10 +473,10 @@ void for_each_index(std::size_t count, unsigned jobs,
         return;
     }
 
-    std::vector<std::unique_ptr<CampaignWorker>> workers;
+    std::vector<std::unique_ptr<IndexWorker>> workers;
     workers.reserve(n_workers);
     for (unsigned i = 0; i < n_workers; ++i) {
-        workers.push_back(std::make_unique<CampaignWorker>());
+        workers.push_back(std::make_unique<IndexWorker>());
         workers.back()->id = i;
     }
     std::atomic<std::uint64_t> in_flight{count};
@@ -540,7 +484,7 @@ void for_each_index(std::size_t count, unsigned jobs,
         workers[i % n_workers]->deque.push(i);
     }
 
-    const auto worker_main = [&](CampaignWorker& w) {
+    const auto worker_main = [&](IndexWorker& w) {
         std::size_t idx = 0;
         const auto acquire = [&]() {
             if (w.deque.pop(idx)) {

@@ -285,13 +285,11 @@ struct RtosConfig {
     /// I/O) goes through io_wait(), which never scales.
     std::uint32_t speed_num = 1;
     std::uint32_t speed_den = 1;
-    /// Optional trace sink for task states, context switches, and IRQs. Any
-    /// trace::TraceSink works: a trace::TraceRecorder for derived views and
-    /// text exporters, or an obs::BinaryTraceSink when recording overhead on
-    /// the hot path matters (convert to a TraceRecorder afterwards). Online
-    /// per-task analytics do not need a tracer at all — attach an
-    /// obs::RtosAnalytics through OsCore::add_observer() instead.
-    trace::TraceSink* tracer = nullptr;
+    /// Optional trace recorder for task states, context switches, and IRQs
+    /// (derived views, text exporters, SLTB files). Online per-task
+    /// analytics do not need a tracer at all — attach an obs::RtosAnalytics
+    /// through OsCore::add_observer() instead.
+    trace::TraceRecorder* tracer = nullptr;
     /// Deadline-miss policy for tasks that do not set TaskParams::miss_policy.
     /// Ignore preserves the pre-recovery behavior exactly.
     MissPolicy default_miss_policy = MissPolicy::Ignore;

@@ -1,8 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
+#include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -10,6 +10,69 @@
 #include "sim/assert.hpp"
 
 namespace slm::trace {
+
+namespace {
+
+constexpr std::uint32_t kMagic = 0x534C5442;  // "SLTB"
+constexpr std::uint32_t kVersion = 1;
+constexpr auto kMaxKind = static_cast<std::uint32_t>(RecordKind::Marker);
+
+// Sanity caps for load(): a corrupted length field must not turn into a
+// multi-gigabyte allocation before the stream read fails. Real traces stay
+// far below both (strings are task/cpu/irq names and short markers).
+constexpr std::uint32_t kMaxStringLen = 1u << 20;  // 1 MiB per interned string
+constexpr std::uint32_t kMaxStrings = 1u << 24;    // 16M distinct strings
+
+/// No string has this id, so looking up a never-interned name matches nothing.
+constexpr std::uint32_t kNoId = ~std::uint32_t{0};
+
+void put_u32(std::ostream& os, std::uint32_t v) {
+    char b[4];
+    for (int i = 0; i < 4; ++i) {
+        b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+    os.write(b, 4);
+}
+
+void put_u64(std::ostream& os, std::uint64_t v) {
+    char b[8];
+    for (int i = 0; i < 8; ++i) {
+        b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+    os.write(b, 8);
+}
+
+bool get_u32(std::istream& is, std::uint32_t& v) {
+    char b[4];
+    if (!is.read(b, 4)) {
+        return false;
+    }
+    v = 0;
+    for (int i = 0; i < 4; ++i) {
+        v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i])) << (8 * i);
+    }
+    return true;
+}
+
+bool get_u64(std::istream& is, std::uint64_t& v) {
+    char b[8];
+    if (!is.read(b, 8)) {
+        return false;
+    }
+    v = 0;
+    for (int i = 0; i < 8; ++i) {
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i])) << (8 * i);
+    }
+    return true;
+}
+
+/// Kinds whose actor is an executing task or behavior.
+bool is_exec(RecordKind k) {
+    return k == RecordKind::ExecBegin || k == RecordKind::ExecEnd ||
+           k == RecordKind::TaskState;
+}
+
+}  // namespace
 
 const char* to_string(RecordKind k) {
     switch (k) {
@@ -50,108 +113,118 @@ std::string json_escape(std::string_view s) {
     return out;
 }
 
-void TraceRecorder::record(Record r) {
-    // Ordering contract (see trace.hpp): nondecreasing timestamps. Checked in
-    // debug builds only — the hot path stays branch-free under NDEBUG.
-    assert((records_.empty() || r.t >= records_.back().t) &&
-           "TraceRecorder::record: timestamps must be nondecreasing");
-    records_.push_back(std::move(r));
+void TraceRecorder::push(SimTime t, RecordKind kind, std::string_view cpu,
+                         std::string_view actor, std::string_view detail) {
+    SLM_ASSERT(t.ns() >= last_t_ns_, "trace records must arrive in nondecreasing time order");
+    last_t_ns_ = t.ns();
+    // Detail, actor, cpu: new strings take ids in this order, which fixes
+    // the string table of saved SLTB files.
+    const std::uint32_t d = strings_.intern(detail);
+    const std::uint32_t a = strings_.intern(actor);
+    records_.append(BinRecord{t.ns(), kind, strings_.intern(cpu), a, d});
 }
 
 void TraceRecorder::exec_begin(SimTime t, std::string_view cpu, std::string_view actor) {
-    record({t, RecordKind::ExecBegin, std::string(cpu), std::string(actor), {}});
+    push(t, RecordKind::ExecBegin, cpu, actor, {});
 }
 
 void TraceRecorder::exec_end(SimTime t, std::string_view cpu, std::string_view actor) {
-    record({t, RecordKind::ExecEnd, std::string(cpu), std::string(actor), {}});
+    push(t, RecordKind::ExecEnd, cpu, actor, {});
 }
 
 void TraceRecorder::task_state(SimTime t, std::string_view cpu, std::string_view actor,
                                std::string_view state) {
-    record({t, RecordKind::TaskState, std::string(cpu), std::string(actor),
-            std::string(state)});
+    push(t, RecordKind::TaskState, cpu, actor, state);
 }
 
 void TraceRecorder::context_switch(SimTime t, std::string_view cpu, std::string_view to,
                                    std::string_view from) {
-    record({t, RecordKind::ContextSwitch, std::string(cpu), std::string(to),
-            std::string(from)});
+    push(t, RecordKind::ContextSwitch, cpu, to, from);
 }
 
 void TraceRecorder::irq(SimTime t, std::string_view cpu, std::string_view irq_name) {
-    record({t, RecordKind::Irq, std::string(cpu), std::string(irq_name), {}});
+    push(t, RecordKind::Irq, cpu, irq_name, {});
 }
 
 void TraceRecorder::channel_op(SimTime t, std::string_view channel, std::string_view op) {
-    record({t, RecordKind::ChannelOp, {}, std::string(channel), std::string(op)});
+    push(t, RecordKind::ChannelOp, {}, channel, op);
 }
 
 void TraceRecorder::marker(SimTime t, std::string_view text) {
-    record({t, RecordKind::Marker, {}, {}, std::string(text)});
+    push(t, RecordKind::Marker, {}, {}, text);
 }
 
 void TraceRecorder::clear() {
     records_.clear();
+    strings_.clear();
+    last_t_ns_ = 0;
+}
+
+std::uint32_t TraceRecorder::id_of(std::string_view s) const {
+    return strings_.find(s).value_or(kNoId);
 }
 
 std::size_t TraceRecorder::count(RecordKind k) const {
-    return static_cast<std::size_t>(
-        std::count_if(records_.begin(), records_.end(),
-                      [k](const Record& r) { return r.kind == k; }));
+    std::size_t n = 0;
+    records_.for_each([&](const BinRecord& r) { n += r.kind == k ? 1 : 0; });
+    return n;
 }
 
 std::size_t TraceRecorder::context_switches(const std::string& cpu) const {
-    return static_cast<std::size_t>(
-        std::count_if(records_.begin(), records_.end(), [&](const Record& r) {
-            return r.kind == RecordKind::ContextSwitch && (cpu.empty() || r.cpu == cpu);
-        }));
+    const std::uint32_t c = id_of(cpu);
+    std::size_t n = 0;
+    records_.for_each([&](const BinRecord& r) {
+        n += r.kind == RecordKind::ContextSwitch && (cpu.empty() || r.cpu == c) ? 1 : 0;
+    });
+    return n;
 }
 
-namespace {
-
-bool enters_running(const Record& r, const std::string& actor) {
-    return (r.kind == RecordKind::ExecBegin && r.actor == actor) ||
-           (r.kind == RecordKind::TaskState && r.actor == actor && r.detail == "Running");
-}
-
-bool leaves_running(const Record& r, const std::string& actor) {
-    return (r.kind == RecordKind::ExecEnd && r.actor == actor) ||
-           (r.kind == RecordKind::TaskState && r.actor == actor && r.detail != "Running");
-}
-
-}  // namespace
-
-std::vector<Interval> TraceRecorder::intervals(const std::string& actor) const {
+std::vector<Interval> TraceRecorder::intervals_of(std::uint32_t actor) const {
+    const std::uint32_t running = id_of("Running");
     std::vector<Interval> out;
     bool open = false;
-    SimTime begin;
-    for (const Record& r : records_) {
-        if (!open && enters_running(r, actor)) {
-            open = true;
-            begin = r.t;
-        } else if (open && leaves_running(r, actor)) {
-            open = false;
-            if (r.t > begin) {
-                out.push_back({begin, r.t, actor});
-            }
+    std::uint64_t begin = 0;
+    const auto close = [&](std::uint64_t end) {
+        if (end > begin) {
+            out.push_back({nanoseconds(begin), nanoseconds(end), str(actor)});
         }
-    }
-    if (open && !records_.empty() && records_.back().t > begin) {
-        out.push_back({begin, records_.back().t, actor});
+    };
+    records_.for_each([&](const BinRecord& r) {
+        if (r.actor != actor || !is_exec(r.kind)) {
+            return;
+        }
+        const bool runs = r.kind == RecordKind::ExecBegin ||
+                          (r.kind == RecordKind::TaskState && r.detail == running);
+        if (!open && runs) {
+            open = true;
+            begin = r.t_ns;
+        } else if (open && !runs) {
+            open = false;
+            close(r.t_ns);
+        }
+    });
+    if (open) {
+        close(last_t_ns_);
     }
     return out;
 }
 
+std::vector<Interval> TraceRecorder::intervals(const std::string& actor) const {
+    const std::uint32_t a = id_of(actor);
+    return a == kNoId ? std::vector<Interval>{} : intervals_of(a);
+}
+
 std::vector<std::string> TraceRecorder::actors() const {
+    std::vector<std::uint32_t> ids;
+    records_.for_each([&](const BinRecord& r) {
+        if (is_exec(r.kind) && std::find(ids.begin(), ids.end(), r.actor) == ids.end()) {
+            ids.push_back(r.actor);
+        }
+    });
     std::vector<std::string> out;
-    for (const Record& r : records_) {
-        if (r.kind != RecordKind::ExecBegin && r.kind != RecordKind::ExecEnd &&
-            r.kind != RecordKind::TaskState) {
-            continue;
-        }
-        if (std::find(out.begin(), out.end(), r.actor) == out.end()) {
-            out.push_back(r.actor);
-        }
+    out.reserve(ids.size());
+    for (const std::uint32_t id : ids) {
+        out.push_back(str(id));
     }
     return out;
 }
@@ -165,19 +238,20 @@ SimTime TraceRecorder::busy_time(const std::string& actor) const {
 }
 
 bool TraceRecorder::has_concurrent_execution(const std::string& cpu) const {
-    // Gather intervals of all actors that have records on this cpu and check
-    // pairwise overlap after sorting by start time.
-    std::vector<Interval> all;
-    for (const std::string& a : actors()) {
-        // Does this actor appear on the requested cpu?
-        const bool on_cpu = std::any_of(records_.begin(), records_.end(), [&](const Record& r) {
-            return r.actor == a && r.cpu == cpu &&
-                   (r.kind == RecordKind::ExecBegin || r.kind == RecordKind::TaskState);
-        });
-        if (!on_cpu) {
-            continue;
+    // Gather the intervals of every actor that begins executing on this cpu
+    // and check pairwise overlap after sorting by start time.
+    const std::uint32_t c = id_of(cpu);
+    std::vector<std::uint32_t> on_cpu;
+    records_.for_each([&](const BinRecord& r) {
+        if (r.cpu == c &&
+            (r.kind == RecordKind::ExecBegin || r.kind == RecordKind::TaskState) &&
+            std::find(on_cpu.begin(), on_cpu.end(), r.actor) == on_cpu.end()) {
+            on_cpu.push_back(r.actor);
         }
-        const auto ivs = intervals(a);
+    });
+    std::vector<Interval> all;
+    for (const std::uint32_t a : on_cpu) {
+        const auto ivs = intervals_of(a);
         all.insert(all.end(), ivs.begin(), ivs.end());
     }
     std::sort(all.begin(), all.end(),
@@ -191,12 +265,13 @@ bool TraceRecorder::has_concurrent_execution(const std::string& cpu) const {
 }
 
 std::vector<SimTime> TraceRecorder::irq_times(const std::string& name) const {
+    const std::uint32_t n = id_of(name);
     std::vector<SimTime> out;
-    for (const Record& r : records_) {
-        if (r.kind == RecordKind::Irq && (name.empty() || r.actor == name)) {
-            out.push_back(r.t);
+    records_.for_each([&](const BinRecord& r) {
+        if (r.kind == RecordKind::Irq && (name.empty() || r.actor == n)) {
+            out.push_back(nanoseconds(r.t_ns));
         }
-    }
+    });
     return out;
 }
 
@@ -249,12 +324,13 @@ std::string TraceRecorder::utilization_report(SimTime t0, SimTime t1) const {
     SLM_ASSERT(t1 > t0, "utilization_report needs a non-empty window");
     std::ostringstream os;
     const double window = static_cast<double>((t1 - t0).ns());
+    const auto as = actors();
     std::size_t name_w = 5;
-    for (const auto& a : actors()) {
+    for (const auto& a : as) {
         name_w = std::max(name_w, a.size());
     }
     os << "actor" << std::string(name_w - 5, ' ') << "  busy        util    intervals\n";
-    for (const auto& a : actors()) {
+    for (const auto& a : as) {
         SimTime busy;
         std::size_t count = 0;
         for (const Interval& iv : intervals(a)) {
@@ -276,10 +352,10 @@ std::string TraceRecorder::utilization_report(SimTime t0, SimTime t1) const {
 
 void TraceRecorder::write_csv(std::ostream& os) const {
     os << "t_ns,kind,cpu,actor,detail\n";
-    for (const Record& r : records_) {
-        os << r.t.ns() << ',' << to_string(r.kind) << ',' << r.cpu << ',' << r.actor << ','
-           << r.detail << '\n';
-    }
+    records_.for_each([&](const BinRecord& r) {
+        os << r.t_ns << ',' << to_string(r.kind) << ',' << str(r.cpu) << ',' << str(r.actor)
+           << ',' << str(r.detail) << '\n';
+    });
 }
 
 void TraceRecorder::write_vcd(std::ostream& os) const {
@@ -356,13 +432,84 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
         }
         ++tid;
     }
-    for (const Record& r : records_) {
+    records_.for_each([&](const BinRecord& r) {
         if (r.kind == RecordKind::Irq) {
-            emit(R"({"name":"irq:)" + json_escape(r.actor) +
-                 R"(","ph":"i","pid":1,"tid":0,"ts":)" + us(r.t) + R"(,"s":"g"})");
+            emit(R"({"name":"irq:)" + json_escape(str(r.actor)) +
+                 R"(","ph":"i","pid":1,"tid":0,"ts":)" + us(nanoseconds(r.t_ns)) +
+                 R"(,"s":"g"})");
         }
-    }
+    });
     os << "\n]\n";
+}
+
+void TraceRecorder::save(std::ostream& os) const {
+    put_u32(os, kMagic);
+    put_u32(os, kVersion);
+    put_u32(os, static_cast<std::uint32_t>(strings_.count()));
+    for (std::uint32_t i = 0; i < strings_.count(); ++i) {
+        const std::string& s = strings_.str(i);
+        put_u32(os, static_cast<std::uint32_t>(s.size()));
+        os.write(s.data(), static_cast<std::streamsize>(s.size()));
+    }
+    put_u64(os, records_.size());
+    records_.for_each([&](const BinRecord& r) {
+        put_u64(os, r.t_ns);
+        put_u32(os, static_cast<std::uint32_t>(r.kind));
+        put_u32(os, r.cpu);
+        put_u32(os, r.actor);
+        put_u32(os, r.detail);
+    });
+}
+
+bool TraceRecorder::load(std::istream& is) {
+    clear();
+    const auto reject = [this] {
+        clear();
+        return false;
+    };
+    std::uint32_t magic = 0;
+    std::uint32_t version = 0;
+    std::uint32_t nstrings = 0;
+    if (!get_u32(is, magic) || magic != kMagic || !get_u32(is, version) ||
+        version != kVersion || !get_u32(is, nstrings) || nstrings == 0 ||
+        nstrings > kMaxStrings) {
+        return reject();
+    }
+    // The stream's table is re-interned, so ids stay distinct per string even
+    // for a stream listing one string twice; `ids` maps stream ids to ours.
+    // A well-formed table starts with "" (id 0).
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t i = 0; i < nstrings; ++i) {
+        std::uint32_t len = 0;
+        if (!get_u32(is, len) || len > kMaxStringLen || (i == 0 && len != 0)) {
+            return reject();
+        }
+        std::string s(len, '\0');
+        if (len > 0 && !is.read(s.data(), static_cast<std::streamsize>(len))) {
+            return reject();
+        }
+        ids.push_back(strings_.intern(s));
+    }
+    std::uint64_t nrecords = 0;
+    if (!get_u64(is, nrecords)) {
+        return reject();
+    }
+    for (std::uint64_t i = 0; i < nrecords; ++i) {
+        std::uint64_t t_ns = 0;
+        std::uint32_t kind = 0;
+        std::uint32_t cpu = 0;
+        std::uint32_t actor = 0;
+        std::uint32_t detail = 0;
+        if (!get_u64(is, t_ns) || !get_u32(is, kind) || !get_u32(is, cpu) ||
+            !get_u32(is, actor) || !get_u32(is, detail) || kind > kMaxKind ||
+            cpu >= nstrings || actor >= nstrings || detail >= nstrings || t_ns < last_t_ns_) {
+            return reject();
+        }
+        last_t_ns_ = t_ns;
+        records_.append(
+            BinRecord{t_ns, static_cast<RecordKind>(kind), ids[cpu], ids[actor], ids[detail]});
+    }
+    return true;
 }
 
 }  // namespace slm::trace

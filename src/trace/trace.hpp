@@ -9,11 +9,12 @@
 
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
+#include "trace/intern.hpp"
 
 namespace slm::trace {
 
 /// What a trace record describes.
-enum class RecordKind {
+enum class RecordKind : std::uint32_t {
     TaskState,      ///< actor changed scheduling state (detail = new state name)
     ContextSwitch,  ///< CPU switched tasks (actor = incoming, detail = outgoing)
     Irq,            ///< interrupt occurred (actor = irq name)
@@ -31,44 +32,6 @@ enum class RecordKind {
 /// on escaping.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Abstract recording interface for timestamped scheduling traces.
-///
-/// Every producer (the OS core via RtosConfig::tracer, SpecTraceAdapter, the
-/// arch/vocoder models, hand-written markers) records through this interface,
-/// so sinks are interchangeable: `TraceRecorder` keeps records as strings and
-/// offers derived views and text exporters; `obs::BinaryTraceSink` interns
-/// strings into a fixed-width binary form for hot recording paths and
-/// converts losslessly to a TraceRecorder afterwards.
-///
-/// **Ordering contract:** records must arrive in nondecreasing time order.
-/// Kernel- and RTOS-emitted records satisfy it by construction (timestamps
-/// are kernel.now(), which never decreases); hand-recorded markers must take
-/// care. Sinks assert the contract in debug builds.
-class TraceSink {
-public:
-    virtual ~TraceSink() = default;
-
-    virtual void exec_begin(SimTime t, std::string_view cpu, std::string_view actor) = 0;
-    virtual void exec_end(SimTime t, std::string_view cpu, std::string_view actor) = 0;
-    virtual void task_state(SimTime t, std::string_view cpu, std::string_view actor,
-                            std::string_view state) = 0;
-    virtual void context_switch(SimTime t, std::string_view cpu, std::string_view to,
-                                std::string_view from) = 0;
-    virtual void irq(SimTime t, std::string_view cpu, std::string_view irq_name) = 0;
-    virtual void channel_op(SimTime t, std::string_view channel, std::string_view op) = 0;
-    virtual void marker(SimTime t, std::string_view text) = 0;
-};
-
-/// One timestamped trace record. `cpu` names the resource (PE) the record
-/// belongs to — empty for records that are not bound to a processor.
-struct Record {
-    SimTime t;
-    RecordKind kind = RecordKind::Marker;
-    std::string cpu;
-    std::string actor;
-    std::string detail;
-};
-
 /// A half-open interval [begin, end) during which `actor` was executing.
 struct Interval {
     SimTime begin;
@@ -78,37 +41,61 @@ struct Interval {
     friend bool operator==(const Interval&, const Interval&) = default;
 };
 
-/// Collects timestamped records from models (explicit ExecBegin/ExecEnd spans
-/// in specification models, task-state changes emitted by the RTOS model) and
-/// derives per-actor execution intervals, Gantt charts, and export formats.
+/// The one trace store. Every producer records here: the OS core (any API
+/// personality) through RtosConfig::tracer, SpecTraceAdapter, the arch and
+/// vocoder models, the explorer's decision markers, hand-written markers.
+/// From the records it derives per-actor execution intervals, Gantt charts,
+/// utilization tables, and CSV/VCD/Chrome exports, and it saves and loads
+/// the SLTB binary format.
 ///
-/// Recording is append-only; every record copies its strings, so the hot
-/// recording path allocates. For record-rate-sensitive runs, record into an
-/// obs::BinaryTraceSink and convert (losslessly) to a TraceRecorder only when
-/// a derived view or exporter is needed. All analysis walks the record list
-/// on demand.
+/// Records are fixed-width (24 bytes) over an interned string table
+/// (trace/intern.hpp): the same task, CPU, and state names recur endlessly in
+/// scheduling traces, and a repeat name costs a verified cache probe, not an
+/// allocation. An unused recorder allocates nothing. bench_trace measures
+/// the record and CSV rates (BENCH_trace.json). All analysis walks the
+/// records on demand.
 ///
-/// The ordering contract of TraceSink applies: a violation produces silently
-/// wrong derived views, not an error. Debug builds assert the contract in
-/// record(); release builds accept the record unchecked.
-class TraceRecorder final : public TraceSink {
+/// **Ordering contract:** records must arrive in nondecreasing time order.
+/// Kernel- and RTOS-emitted records satisfy it by construction (timestamps
+/// are kernel.now(), which never decreases); hand-recorded markers must take
+/// care. Every build checks it (SLM_ASSERT): a violation would make the
+/// derived views silently wrong.
+class TraceRecorder {
 public:
+    /// One fixed-width record; strings are ids into the string table (str()).
+    /// `actor` and `detail` carry the kind-specific payload: ContextSwitch
+    /// actor = incoming, detail = outgoing; ChannelOp actor = channel,
+    /// detail = op, no cpu; Marker detail = text, no cpu or actor.
+    struct BinRecord {
+        std::uint64_t t_ns;
+        RecordKind kind;
+        std::uint32_t cpu;
+        std::uint32_t actor;
+        std::uint32_t detail;
+    };
+    static_assert(sizeof(BinRecord) == 24);
+
     // ---- recording ----
-    void record(Record r);
-    void exec_begin(SimTime t, std::string_view cpu, std::string_view actor) override;
-    void exec_end(SimTime t, std::string_view cpu, std::string_view actor) override;
+    void exec_begin(SimTime t, std::string_view cpu, std::string_view actor);
+    void exec_end(SimTime t, std::string_view cpu, std::string_view actor);
     void task_state(SimTime t, std::string_view cpu, std::string_view actor,
-                    std::string_view state) override;
+                    std::string_view state);
     void context_switch(SimTime t, std::string_view cpu, std::string_view to,
-                        std::string_view from) override;
-    void irq(SimTime t, std::string_view cpu, std::string_view irq_name) override;
-    void channel_op(SimTime t, std::string_view channel, std::string_view op) override;
-    void marker(SimTime t, std::string_view text) override;
+                        std::string_view from);
+    void irq(SimTime t, std::string_view cpu, std::string_view irq_name);
+    void channel_op(SimTime t, std::string_view channel, std::string_view op);
+    void marker(SimTime t, std::string_view text);
 
     void clear();
 
     // ---- raw access ----
-    [[nodiscard]] const std::vector<Record>& records() const { return records_; }
+    [[nodiscard]] std::size_t size() const { return records_.size(); }
+    [[nodiscard]] const BinRecord& record(std::size_t i) const { return records_[i]; }
+    /// The interned string for `id` (asserts on out-of-range ids).
+    [[nodiscard]] const std::string& str(std::uint32_t id) const {
+        return strings_.str(id);
+    }
+    [[nodiscard]] std::size_t string_count() const { return strings_.count(); }
     [[nodiscard]] std::size_t count(RecordKind k) const;
     [[nodiscard]] std::size_t context_switches(const std::string& cpu = {}) const;
 
@@ -157,9 +144,29 @@ public:
     /// requires. Actor and IRQ names are JSON-escaped via json_escape().
     void write_chrome_trace(std::ostream& os) const;
 
+    // ---- SLTB binary file format (docs/observability.md) ----
+
+    /// Write the trace: magic "SLTB", version, string table, records.
+    void save(std::ostream& os) const;
+    /// Load a trace previously save()d, replacing this recorder's contents.
+    /// Returns false (leaving the recorder cleared) on a malformed stream.
+    [[nodiscard]] bool load(std::istream& is);
+
 private:
-    std::vector<Record> records_;
+    void push(SimTime t, RecordKind kind, std::string_view cpu, std::string_view actor,
+              std::string_view detail);
+    /// Id of an interned string, or an id no record carries.
+    [[nodiscard]] std::uint32_t id_of(std::string_view s) const;
+    [[nodiscard]] std::vector<Interval> intervals_of(std::uint32_t actor) const;
+
+    RecordLog<BinRecord> records_;
+    StringTable strings_;
+    std::uint64_t last_t_ns_ = 0;  ///< ordering-contract check
 };
+
+/// Kept, like obs::BinaryTraceSink, only for perfbench/, which is not edited
+/// together with the library; new code uses TraceRecorder.
+using TraceSink = TraceRecorder;
 
 /// Automatic tracing for *specification* models: attach as a kernel observer
 /// and every process's `waitfor` delay steps are recorded as execution spans
@@ -174,11 +181,10 @@ private:
 /// Use an explicit name filter to keep testbench/device processes out of the
 /// trace. Not intended for RTOS-based models — the OS core (rtos::OsCore,
 /// under any API personality) emits richer task-state records through
-/// RtosConfig::tracer instead (any TraceSink: a TraceRecorder, or an
-/// obs::BinaryTraceSink when recording overhead matters).
+/// RtosConfig::tracer instead.
 class SpecTraceAdapter final : public sim::KernelObserver {
 public:
-    SpecTraceAdapter(sim::Kernel& kernel, TraceSink& rec, std::string cpu = {})
+    SpecTraceAdapter(sim::Kernel& kernel, TraceRecorder& rec, std::string cpu = {})
         : kernel_(kernel), rec_(rec), cpu_(std::move(cpu)) {}
 
     /// Record only processes whose name satisfies `pred`.
@@ -200,7 +206,7 @@ public:
 
 private:
     sim::Kernel& kernel_;
-    TraceSink& rec_;
+    TraceRecorder& rec_;
     std::string cpu_;
     std::function<bool(const std::string&)> filter_;
 };

@@ -100,7 +100,7 @@ VocoderResult run_vocoder_unscheduled(const VocoderConfig& cfg) {
     res.frames = cfg.frames;
     res.min_snr_db = 1e9;
     res.data_ok = true;
-    trace::TraceSink* rec = cfg.tracer;
+    trace::TraceRecorder* rec = cfg.tracer;
 
     const auto exec = [&](const char* who, SimTime dt) {
         if (rec != nullptr) {

@@ -13,9 +13,8 @@ namespace slm::vocoder {
 struct VocoderConfig {
     std::size_t frames = 50;
     std::uint32_t seed = 1;
-    /// Any trace sink (TraceRecorder for derived views, obs::BinaryTraceSink
-    /// for hot-path recording).
-    trace::TraceSink* tracer = nullptr;
+    /// Optional trace recorder for the model's execution and task records.
+    trace::TraceRecorder* tracer = nullptr;
     /// Architecture model only: scheduling configuration. The vocoder default
     /// adds a conservative 100 us context-switch annotation (the abstract
     /// model errs pessimistic, which is what puts the architecture estimate

@@ -1,5 +1,5 @@
 // Unified observability layer (src/obs/): metrics registry semantics and
-// exposition formats, binary trace sink losslessness + file format, and the
+// exposition formats, the trace store's interning and SLTB file format, and the
 // online per-task analytics observer including the priority-inversion
 // detector. The cross-personality guarantees of the analytics metrics are
 // pinned separately in tests/test_conformance.cpp.
@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "obs/analytics.hpp"
-#include "obs/binary_trace.hpp"
 #include "rtos/os_channels.hpp"
 #include "rtos/rtos.hpp"
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
 #include "trace/trace.hpp"
+#include "trace_scenario.hpp"
 
 using namespace slm;
 using namespace slm::obs;
@@ -211,29 +211,13 @@ TEST(StatsRegistration, OsAndTaskStatsCarryLabels) {
 }
 
 // ---------------------------------------------------------------------------
-// BinaryTraceSink
+// The trace store's interned records and SLTB file format
 
-namespace {
-
-/// Record the same mixed-kind scenario into any sink. Names include JSON
-/// metacharacters so export round-trips also exercise the escaper.
-void record_scenario(trace::TraceSink& s) {
-    s.marker(0_us, "start \"run\"");
-    s.task_state(1_us, "PE0", "drv", "Ready");
-    s.task_state(1_us, "PE0", "drv", "Running");
-    s.context_switch(1_us, "PE0", "drv", "<idle>");
-    s.exec_begin(1_us, "PE0", "drv");
-    s.irq(3_us, "PE0", "timer");
-    s.exec_end(5_us, "PE0", "drv");
-    s.channel_op(5_us, "bus\\link", "send");
-    s.task_state(5_us, "PE0", "drv", "Terminated");
-    s.marker(6_us, "end");
-}
-
-}  // namespace
+using slm::test::record_scenario;
+using trace::TraceRecorder;
 
 TEST(BinaryTrace, InternsRepeatedStringsOnce) {
-    BinaryTraceSink bin;
+    TraceRecorder bin;
     for (int i = 0; i < 1000; ++i) {
         bin.task_state(microseconds(static_cast<std::uint64_t>(i)), "PE0", "drv",
                        "Running");
@@ -245,62 +229,26 @@ TEST(BinaryTrace, InternsRepeatedStringsOnce) {
 }
 
 TEST(BinaryTrace, RecordsCarryKindAndInternedIds) {
-    BinaryTraceSink bin;
+    TraceRecorder bin;
     bin.context_switch(2_us, "PE0", "b", "a");
     ASSERT_EQ(bin.size(), 1u);
-    const BinaryTraceSink::BinRecord& r = bin.record(0);
+    const TraceRecorder::BinRecord& r = bin.record(0);
     EXPECT_EQ(r.t_ns, 2000u);
-    EXPECT_EQ(r.kind, static_cast<std::uint32_t>(trace::RecordKind::ContextSwitch));
+    EXPECT_EQ(r.kind, trace::RecordKind::ContextSwitch);
     EXPECT_EQ(bin.str(r.cpu), "PE0");
     EXPECT_EQ(bin.str(r.actor), "b");   // incoming
     EXPECT_EQ(bin.str(r.detail), "a");  // outgoing
 }
 
-TEST(BinaryTrace, ReplayMatchesDirectRecordingByteForByte) {
-    trace::TraceRecorder direct;
-    BinaryTraceSink bin;
-    record_scenario(direct);
-    record_scenario(bin);
-    const trace::TraceRecorder replayed = bin.to_recorder();
-    const auto dump = [](const trace::TraceRecorder& rec) {
-        std::ostringstream csv;
-        std::ostringstream vcd;
-        std::ostringstream chrome;
-        rec.write_csv(csv);
-        rec.write_vcd(vcd);
-        rec.write_chrome_trace(chrome);
-        return std::vector<std::string>{csv.str(), vcd.str(), chrome.str()};
-    };
-    EXPECT_EQ(dump(replayed), dump(direct));
-    // And the derived views agree too.
-    EXPECT_EQ(replayed.busy_time("drv"), direct.busy_time("drv"));
-    EXPECT_EQ(replayed.context_switches(), direct.context_switches());
-}
-
-TEST(BinaryTrace, DirectChromeTraceMatchesRecorderPath) {
-    // write_chrome_trace() renders straight from the interned records; it
-    // must be byte-identical to materialising a TraceRecorder first, so the
-    // direct path can never drift from the reference exporter.
-    BinaryTraceSink bin;
-    record_scenario(bin);
-    std::ostringstream direct;
-    std::ostringstream via_recorder;
-    bin.write_chrome_trace(direct);
-    bin.to_recorder().write_chrome_trace(via_recorder);
-    EXPECT_EQ(direct.str(), via_recorder.str());
-    ASSERT_FALSE(direct.str().empty());
-    EXPECT_EQ(direct.str().front(), '[');
-}
-
 TEST(BinaryTrace, ChromeTraceSurvivesSaveLoadRoundTrip) {
-    BinaryTraceSink bin;
+    TraceRecorder bin;
     record_scenario(bin);
     std::ostringstream before;
     bin.write_chrome_trace(before);
 
     std::stringstream file;
     bin.save(file);
-    BinaryTraceSink loaded;
+    TraceRecorder loaded;
     ASSERT_TRUE(loaded.load(file));
     std::ostringstream after;
     loaded.write_chrome_trace(after);
@@ -308,12 +256,12 @@ TEST(BinaryTrace, ChromeTraceSurvivesSaveLoadRoundTrip) {
 }
 
 TEST(BinaryTrace, SaveLoadRoundTrip) {
-    BinaryTraceSink bin;
+    TraceRecorder bin;
     record_scenario(bin);
     std::stringstream file;
     bin.save(file);
 
-    BinaryTraceSink loaded;
+    TraceRecorder loaded;
     loaded.marker(0_us, "stale");  // load() must replace, not append
     ASSERT_TRUE(loaded.load(file));
     ASSERT_EQ(loaded.size(), bin.size());
@@ -328,19 +276,19 @@ TEST(BinaryTrace, SaveLoadRoundTrip) {
     }
     std::ostringstream before;
     std::ostringstream after;
-    bin.to_recorder().write_csv(before);
-    loaded.to_recorder().write_csv(after);
+    bin.write_csv(before);
+    loaded.write_csv(after);
     EXPECT_EQ(before.str(), after.str());
 }
 
 TEST(BinaryTrace, LoadRejectsMalformedStreams) {
-    BinaryTraceSink bin;
+    TraceRecorder bin;
     record_scenario(bin);
     std::stringstream good;
     bin.save(good);
     const std::string bytes = good.str();
 
-    BinaryTraceSink sink;
+    TraceRecorder sink;
     {
         std::stringstream s{"not a trace"};
         EXPECT_FALSE(sink.load(s));
@@ -379,7 +327,7 @@ TEST(BinaryTrace, CorruptionFuzzNeverCrashes) {
     // cleared) or yield a well-formed trace that is safe to re-export; it
     // must never crash or index out of bounds (the caps and per-record
     // validation in load() bound every field).
-    BinaryTraceSink bin;
+    TraceRecorder bin;
     record_scenario(bin);
     std::stringstream good;
     bin.save(good);
@@ -387,12 +335,14 @@ TEST(BinaryTrace, CorruptionFuzzNeverCrashes) {
     ASSERT_GT(bytes.size(), 16u);
 
     const auto probe = [](const std::string& data) {
-        BinaryTraceSink sink;
+        TraceRecorder sink;
         std::stringstream s{data};
         if (sink.load(s)) {
             // Whatever survived the damage must still walk and export.
-            std::ostringstream csv;
-            sink.to_recorder().write_csv(csv);
+            std::ostringstream out;
+            sink.write_csv(out);
+            sink.write_vcd(out);
+            sink.write_chrome_trace(out);
         } else {
             EXPECT_EQ(sink.size(), 0u);  // rejected = cleared, not half-loaded
         }
@@ -423,7 +373,7 @@ TEST(BinaryTrace, CorruptionFuzzNeverCrashes) {
 }
 
 TEST(BinaryTrace, ClearResetsRecordsAndAcceptsEarlierTimes) {
-    BinaryTraceSink bin;
+    TraceRecorder bin;
     bin.marker(10_us, "m");
     bin.clear();
     EXPECT_EQ(bin.size(), 0u);
@@ -432,18 +382,23 @@ TEST(BinaryTrace, ClearResetsRecordsAndAcceptsEarlierTimes) {
 }
 
 TEST(BinaryTrace, ChunkBoundaryIsSeamless) {
-    // Cross the 64Ki-record chunk boundary and verify indexed access on both
-    // sides of it.
-    BinaryTraceSink bin;
+    // Chunks double from 64 records, so 2^16 + 17 records cross ten chunk
+    // boundaries; check indexed access on both sides of each.
+    TraceRecorder bin;
     const std::size_t n = (1u << 16) + 17;
     for (std::size_t i = 0; i < n; ++i) {
         bin.marker(nanoseconds(i), "m");
     }
     ASSERT_EQ(bin.size(), n);
-    EXPECT_EQ(bin.record(0).t_ns, 0u);
-    EXPECT_EQ(bin.record((1u << 16) - 1).t_ns, (1u << 16) - 1);
-    EXPECT_EQ(bin.record(1u << 16).t_ns, 1u << 16);
-    EXPECT_EQ(bin.record(n - 1).t_ns, n - 1);
+    std::size_t mismatched = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        mismatched += bin.record(i).t_ns == i ? 0 : 1;
+    }
+    EXPECT_EQ(mismatched, 0u);
+    for (std::size_t start = 64; start < n; start = 2 * start + 64) {
+        EXPECT_EQ(bin.record(start - 1).t_ns, start - 1);
+        EXPECT_EQ(bin.record(start).t_ns, start);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 
+#include "arch/fig3.hpp"
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
+#include "trace_scenario.hpp"
 
 using namespace slm;
 using namespace slm::trace;
 using namespace slm::time_literals;
+
+// Counts every global allocation so tests can assert that a code path makes
+// none.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+    ++g_allocations;
+    if (void* p = std::malloc(n == 0 ? 1 : n)) {
+        return p;
+    }
+    throw std::bad_alloc{};
+}
+// GCC cannot see that these deletes pair with the malloc-backed new above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 TEST(Trace, ExecSpansBecomeIntervals) {
     TraceRecorder rec;
@@ -171,7 +196,7 @@ TEST(Trace, ClearResets) {
     TraceRecorder rec;
     rec.marker(0_us, "m");
     rec.clear();
-    EXPECT_TRUE(rec.records().empty());
+    EXPECT_EQ(rec.size(), 0u);
 }
 
 TEST(SpecTraceAdapterTest, RecordsDelayStepsAsExecution) {
@@ -229,8 +254,8 @@ TEST(Trace, GanttRendersRows) {
     rec.exec_begin(0_us, "PE0", "B2");
     rec.exec_end(50_us, "PE0", "B2");
     rec.exec_begin(50_us, "PE0", "B3");
-    rec.exec_end(100_us, "PE0", "B3");
     rec.irq(75_us, "PE0", "ext");
+    rec.exec_end(100_us, "PE0", "B3");
     const std::string g = rec.render_gantt(0_us, 100_us, 20);
     // B2 occupies the first half, B3 the second.
     EXPECT_NE(g.find("|##########..........|"), std::string::npos) << g;
@@ -271,8 +296,8 @@ TEST(Trace, CsvExport) {
 TEST(Trace, ChromeTraceExport) {
     TraceRecorder rec;
     rec.exec_begin(0_us, "PE0", "task_a");
-    rec.exec_end(4_us, "PE0", "task_a");
     rec.irq(2_us, "PE0", "ext");
+    rec.exec_end(4_us, "PE0", "task_a");
     std::ostringstream os;
     rec.write_chrome_trace(os);
     const std::string j = os.str();
@@ -288,8 +313,8 @@ TEST(Trace, ChromeTraceEscapesJsonMetacharacters) {
     // unescaped quote would truncate the string and corrupt the whole file.
     TraceRecorder rec;
     rec.exec_begin(0_us, "PE0", "say \"hi\"\\now");
-    rec.exec_end(4_us, "PE0", "say \"hi\"\\now");
     rec.irq(2_us, "PE0", "line\nbreak");
+    rec.exec_end(4_us, "PE0", "say \"hi\"\\now");
     std::ostringstream os;
     rec.write_chrome_trace(os);
     const std::string j = os.str();
@@ -318,4 +343,128 @@ TEST(Trace, VcdExportStructure) {
     EXPECT_NE(vcd.find("#0\n"), std::string::npos);
     EXPECT_NE(vcd.find("1!"), std::string::npos);
     EXPECT_NE(vcd.find("#4000\n0!"), std::string::npos);
+}
+
+TEST(Trace, EmptyRecorderAllocatesNothing) {
+    // The explorer builds one recorder per path, most of which record
+    // nothing: construction, a move and destruction must stay free.
+    const std::size_t before = g_allocations;
+    {
+        TraceRecorder rec;
+        TraceRecorder moved = std::move(rec);
+        EXPECT_EQ(moved.size(), 0u);
+        EXPECT_EQ(moved.string_count(), 1u);
+    }
+    EXPECT_EQ(g_allocations, before);
+}
+
+TEST(Trace, RecordsOutOfTimeOrderAreRejected) {
+    EXPECT_DEATH(
+        {
+            TraceRecorder rec;
+            rec.marker(5_us, "later");
+            rec.marker(1_us, "earlier");
+        },
+        "nondecreasing");
+}
+
+// ---- golden exports ----
+//
+// The exact bytes of every exporter and of the SLTB file, for the mixed
+// scenario and for the Fig. 8 architecture trace. Small outputs are pinned
+// as literals, larger ones as FNV-1a digests plus length. A change here is a
+// change to a published output format and must be deliberate.
+
+namespace {
+
+std::uint64_t fnv1a(const std::string& s) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct Exports {
+    std::string csv, vcd, chrome, gantt, util, sltb;
+};
+
+Exports exports_of(const TraceRecorder& rec, SimTime t1, int width) {
+    std::ostringstream csv, vcd, chrome, sltb;
+    rec.write_csv(csv);
+    rec.write_vcd(vcd);
+    rec.write_chrome_trace(chrome);
+    rec.save(sltb);
+    return {csv.str(),
+            vcd.str(),
+            chrome.str(),
+            rec.render_gantt(SimTime::zero(), t1, width),
+            rec.utilization_report(SimTime::zero(), t1),
+            sltb.str()};
+}
+
+void expect_digest(const std::string& out, std::uint64_t fnv, std::size_t size) {
+    EXPECT_EQ(out.size(), size);
+    EXPECT_EQ(fnv1a(out), fnv) << out;
+}
+
+/// save() of a load()ed file reproduces the file byte for byte.
+void expect_sltb_round_trip(const std::string& sltb) {
+    std::istringstream in{sltb};
+    TraceRecorder loaded;
+    ASSERT_TRUE(loaded.load(in));
+    std::ostringstream again;
+    loaded.save(again);
+    EXPECT_EQ(again.str(), sltb);
+}
+
+}  // namespace
+
+TEST(TraceGolden, ScenarioExports) {
+    TraceRecorder rec;
+    test::record_scenario(rec);
+    const Exports e = exports_of(rec, 6_us, 24);
+    EXPECT_EQ(e.csv,
+              "t_ns,kind,cpu,actor,detail\n"
+              "0,marker,,,start \"run\"\n"
+              "1000,task_state,PE0,drv,Ready\n"
+              "1000,task_state,PE0,drv,Running\n"
+              "1000,context_switch,PE0,drv,<idle>\n"
+              "1000,exec_begin,PE0,drv,\n"
+              "3000,irq,PE0,timer,\n"
+              "5000,exec_end,PE0,drv,\n"
+              "5000,channel_op,,bus\\link,send\n"
+              "5000,task_state,PE0,drv,Terminated\n"
+              "6000,marker,,,end\n");
+    EXPECT_EQ(e.chrome,
+              "[\n"
+              R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"drv"}},)"
+              "\n"
+              R"({"name":"drv","ph":"X","pid":1,"tid":1,"ts":1.000,"dur":4.000},)"
+              "\n"
+              R"({"name":"irq:timer","ph":"i","pid":1,"tid":0,"ts":3.000,"s":"g"})"
+              "\n]\n");
+    EXPECT_EQ(e.gantt,
+              "drv  |....################....|\n"
+              "irq               ^           \n"
+              "time  0 ns .. 6 us\n");
+    expect_digest(e.vcd, 0xeeda85ae33e5bb4full, 127);
+    expect_digest(e.util, 0x2396cbb70375ca36ull, 74);
+    expect_digest(e.sltb, 0xbb193bfceca4d3aaull, 373);
+    expect_sltb_round_trip(e.sltb);
+}
+
+TEST(TraceGolden, Fig8ArchitectureExports) {
+    TraceRecorder rec;
+    (void)arch::run_fig3_architecture(&rec);
+    EXPECT_EQ(rec.size(), 31u);
+    const Exports e = exports_of(rec, 170_us, 68);
+    expect_digest(e.csv, 0x093003e5516f79bcull, 1189);
+    expect_digest(e.vcd, 0x20340d651e0b7c43ull, 270);
+    expect_digest(e.chrome, 0xa2a01ecd0776ad7full, 784);
+    expect_digest(e.gantt, 0xeedefae3fa914c01ull, 339);
+    expect_digest(e.util, 0xc3d4849695333b20ull, 156);
+    expect_digest(e.sltb, 0xfc2e903066ff83b8ull, 886);
+    expect_sltb_round_trip(e.sltb);
 }
