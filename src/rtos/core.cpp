@@ -64,6 +64,10 @@ OsCore::~OsCore() {
     for (OsObserver* obs : observers_) {
         obs->on_core_teardown();
     }
+    // The kernel outlives the core: leave no process pointing at a dead TCB.
+    for (const auto& t : tasks_) {
+        unbind_process(t.get());
+    }
 }
 
 void OsCore::init() {
@@ -99,8 +103,22 @@ Task* OsCore::task_create(TaskParams params) {
 }
 
 Task* OsCore::self() const {
-    const auto it = by_process_.find(sim::this_process());
-    return it != by_process_.end() ? it->second : nullptr;
+    const sim::Process* proc = sim::this_process();
+    auto* t = proc != nullptr ? static_cast<Task*>(proc->owner()) : nullptr;
+    return t != nullptr && &t->os_ == this ? t : nullptr;
+}
+
+void OsCore::bind_process(Task* t, sim::Process* proc) {
+    SLM_ASSERT(proc->owner() == nullptr, "this process is already bound to another task");
+    proc->set_owner(t);
+    t->proc_ = proc;
+}
+
+void OsCore::unbind_process(Task* t) {
+    if (t->proc_ != nullptr) {
+        t->proc_->set_owner(nullptr);
+        t->proc_ = nullptr;
+    }
 }
 
 std::vector<const Task*> OsCore::tasks() const {
@@ -148,7 +166,7 @@ void OsCore::remove_observer(OsObserver* obs) {
 }
 
 void OsCore::enqueue_ready(Task* t) {
-    t->arrival_seq_ = ++arrival_counter_;
+    t->rq_link_.seq = ++arrival_counter_;  // FIFO stamp, refreshed on each enqueue
     ready_->push(t);
     set_task_state(t, TaskState::Ready);
 }
@@ -388,11 +406,8 @@ void OsCore::task_activate(Task* t) {
             sim::Process* proc = sim::this_process();
             SLM_ASSERT(proc != nullptr,
                        "task_activate(New) must run inside the task's process");
-            SLM_ASSERT(self() == nullptr,
-                       "this process is already bound to another task");
-            t->proc_ = proc;
+            bind_process(t, proc);
             t->pending_proc_ = nullptr;  // task_start's wrapper is now bound
-            by_process_[proc] = t;
             t->release_time_ = kernel_.now();
             ++t->stats_.activations;
             if (t->params_.type == TaskType::Periodic) {
@@ -448,8 +463,7 @@ void OsCore::task_terminate() {
     }
     watchdog_cancel_internal(t);
     set_task_state(t, TaskState::Terminated);
-    by_process_.erase(t->proc_);
-    t->proc_ = nullptr;
+    unbind_process(t);
     t->pending_proc_ = nullptr;
     running_ = nullptr;
     schedule();
@@ -573,10 +587,7 @@ void OsCore::task_kill(Task* t) {
     if (proc == nullptr) {
         proc = t->pending_proc_;  // started but never bound (pre-activate kill)
     }
-    if (t->proc_ != nullptr) {
-        by_process_.erase(t->proc_);
-        t->proc_ = nullptr;
-    }
+    unbind_process(t);
     t->pending_proc_ = nullptr;
     if (!killing_self) {
         schedule();
@@ -910,10 +921,7 @@ void OsCore::task_restart(Task* t) {
     for (OsObserver* obs : observers_) {
         obs->on_task_restart(*t, kernel_.now());
     }
-    if (t->proc_ != nullptr) {
-        by_process_.erase(t->proc_);
-        t->proc_ = nullptr;
-    }
+    unbind_process(t);
     t->pending_proc_ = nullptr;
 
     // Reset the incarnation's accounting; the restart counter itself survives.
@@ -955,8 +963,7 @@ void OsCore::crash_running(Task* t) {
     // after the crash is the recovery path (Restart revives the task).
     set_task_state(t, TaskState::Terminated);
     sim::Process* proc = t->proc_;
-    by_process_.erase(proc);
-    t->proc_ = nullptr;
+    unbind_process(t);
     t->pending_proc_ = nullptr;
     schedule();
     kernel_.kill(*proc);  // throws ProcessKilled out of the dispatch path

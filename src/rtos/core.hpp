@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rtos/scheduler.hpp"
@@ -107,7 +106,7 @@ public:
     [[nodiscard]] SimTime release_time() const { return release_time_; }
     /// Monotone stamp refreshed each time the task enters the ready queue;
     /// policies use it for FIFO ordering and tie-breaking.
-    [[nodiscard]] std::uint64_t arrival_seq() const { return arrival_seq_; }
+    [[nodiscard]] std::uint64_t arrival_seq() const { return rq_link_.seq; }
     /// Configured watchdog timeout (zero = none); see OsCore::watchdog_arm.
     [[nodiscard]] SimTime wd_timeout() const { return wd_timeout_; }
     [[nodiscard]] MissPolicy wd_action() const { return wd_action_; }
@@ -132,7 +131,6 @@ private:
     SimTime abs_deadline_ = SimTime::max();
     OsEvent* waiting_evt_ = nullptr;  ///< valid while state_ == WaitingEvent
     int inherited_priority_ = std::numeric_limits<int>::max();
-    std::uint64_t arrival_seq_ = 0;  ///< FIFO stamp, refreshed on each enqueue
     bool switch_cost_due_ = false;
     TaskStats stats_;
 
@@ -576,6 +574,9 @@ private:
     void deliver_isr_now(const std::string& irq_name,
                          const std::function<void()>& handler, unsigned extra);
     void spawn_task_process(Task* t);
+    /// Tie `t` to the calling process (its owner slot answers self()) / undo it.
+    void bind_process(Task* t, sim::Process* proc);
+    void unbind_process(Task* t);
     void run_task_cleanup(Task* t);
     void watchdog_schedule(Task* t);
     void watchdog_cancel_internal(Task* t);
@@ -587,7 +588,6 @@ private:
     std::vector<std::unique_ptr<Task>> tasks_;
     std::vector<std::unique_ptr<OsEvent>> events_;
     std::unique_ptr<ReadyQueue> ready_;
-    std::unordered_map<const sim::Process*, Task*> by_process_;
     Task* running_ = nullptr;
     Task* last_dispatched_ = nullptr;
     bool reschedule_pending_ = false;

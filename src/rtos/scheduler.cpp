@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "rtos/rtos.hpp"
@@ -75,59 +74,56 @@ private:
     std::deque<Task*> q_;
 };
 
-/// Priority buckets: a map keyed by effective priority (smaller = higher),
-/// FIFO by arrival_seq inside each bucket. Dispatch is O(log P) in the number
-/// of *distinct* priority levels — effectively O(1) for real task sets —
-/// instead of O(n) in ready tasks. The insertion key is remembered in the
-/// intrusive link so erase() finds the right bucket even after the task's
-/// effective priority changed (requeue() re-inserts under the new key,
-/// keeping arrival order within the destination bucket).
+/// Priority buckets: one FIFO list per effective priority (smaller =
+/// higher), threaded through the tasks' intrusive links in arrival_seq order,
+/// over a vector of buckets sorted by priority. Finding a bucket is a binary
+/// search over the *distinct* priority levels — effectively O(1) for real
+/// task sets — and nothing allocates once a level has been seen: an emptied
+/// bucket stays in place, so the vector is bounded by the distinct levels
+/// ever queued. The insertion key is remembered in the intrusive link so
+/// erase() finds the right bucket even after the task's effective priority
+/// changed (requeue() re-inserts under the new key, keeping arrival order
+/// within the destination bucket).
 class PriorityBucketQueue final : public ReadyQueue {
 public:
     void push(Task* t) override {
         const int key = t->effective_priority();
-        auto& bucket = buckets_[key];
-        // Monotone arrival_seq makes push_back sorted; a requeue()ed task may
-        // carry an older seq and belongs further forward.
-        if (bucket.empty() || bucket.back()->arrival_seq() < t->arrival_seq()) {
-            bucket.push_back(t);
-        } else {
-            const auto it = std::upper_bound(
-                bucket.begin(), bucket.end(), t->arrival_seq(),
-                [](std::uint64_t seq, const Task* q) { return seq < q->arrival_seq(); });
-            bucket.insert(it, t);
+        const std::size_t b = bucket_for(key);
+        Bucket& bucket = buckets_[b];
+        // Monotone arrival_seq makes appending sorted; a requeue()d task may
+        // carry an older seq and belongs further forward, after every task
+        // whose seq is not larger.
+        Task* after = bucket.tail;
+        while (after != nullptr && after->arrival_seq() > t->arrival_seq()) {
+            after = link(*after).prev;
         }
-        link(*t).bucket = key;
-        link(*t).queued = true;
+        ReadyLink& l = link(*t);
+        l.prev = after;
+        l.next = after != nullptr ? link(*after).next : bucket.head;
+        (l.next != nullptr ? link(*l.next).prev : bucket.tail) = t;
+        (after != nullptr ? link(*after).next : bucket.head) = t;
+        l.bucket = key;
+        l.queued = true;
         ++size_;
+        best_ = std::min(best_, b);
     }
     Task* peek() const override {
-        return buckets_.empty() ? nullptr : buckets_.begin()->second.front();
+        return best_ < buckets_.size() ? buckets_[best_].head : nullptr;
     }
     Task* pop() override {
-        SLM_ASSERT(!buckets_.empty(), "pop() on an empty ready queue");
-        const auto it = buckets_.begin();
-        Task* t = it->second.front();
-        it->second.pop_front();
-        if (it->second.empty()) {
-            buckets_.erase(it);
-        }
-        link(*t).queued = false;
-        --size_;
+        SLM_ASSERT(size_ != 0, "pop() on an empty ready queue");
+        Task* t = buckets_[best_].head;
+        unlink(t, best_);
         return t;
     }
     void erase(Task* t) override {
         if (!link(*t).queued) {
             return;
         }
-        const auto it = buckets_.find(link(*t).bucket);
-        SLM_ASSERT(it != buckets_.end(), "ready task lost its priority bucket");
-        std::erase(it->second, t);
-        if (it->second.empty()) {
-            buckets_.erase(it);
-        }
-        link(*t).queued = false;
-        --size_;
+        const auto it = find(link(*t).bucket);
+        SLM_ASSERT(it != buckets_.end() && it->key == link(*t).bucket,
+                   "ready task lost its priority bucket");
+        unlink(t, static_cast<std::size_t>(it - buckets_.begin()));
     }
     void requeue(Task* t) override {
         if (link(*t).queued && link(*t).bucket != t->effective_priority()) {
@@ -135,19 +131,55 @@ public:
             push(t);
         }
     }
-    bool empty() const override { return buckets_.empty(); }
+    bool empty() const override { return size_ == 0; }
     std::size_t size() const override { return size_; }
     void ties(std::vector<Task*>& out) const override {
-        // Every task in the best bucket shares the dispatch key; the bucket
-        // deque is already in arrival order with pop()'s choice at the front.
-        if (!buckets_.empty()) {
-            const auto& bucket = buckets_.begin()->second;
-            out.insert(out.end(), bucket.begin(), bucket.end());
+        // Every task in the best bucket shares the dispatch key; the list is
+        // already in arrival order with pop()'s choice at the head.
+        for (Task* t = peek(); t != nullptr; t = link(*t).next) {
+            out.push_back(t);
         }
     }
 
 private:
-    std::map<int, std::deque<Task*>> buckets_;
+    struct Bucket {
+        int key;
+        Task* head;
+        Task* tail;
+    };
+
+    std::vector<Bucket>::iterator find(int key) {
+        return std::lower_bound(buckets_.begin(), buckets_.end(), key,
+                                [](const Bucket& b, int k) { return b.key < k; });
+    }
+    /// Index of `key`'s bucket, inserted (empty) in order when first seen.
+    std::size_t bucket_for(int key) {
+        const auto it = find(key);
+        const auto b = static_cast<std::size_t>(it - buckets_.begin());
+        if (it == buckets_.end() || it->key != key) {
+            buckets_.insert(it, Bucket{key, nullptr, nullptr});
+            if (best_ >= b) {
+                ++best_;  // the first non-empty bucket moved up one slot
+            }
+        }
+        return b;
+    }
+    void unlink(Task* t, std::size_t b) {
+        Bucket& bucket = buckets_[b];
+        ReadyLink& l = link(*t);
+        (l.prev != nullptr ? link(*l.prev).next : bucket.head) = l.next;
+        (l.next != nullptr ? link(*l.next).prev : bucket.tail) = l.prev;
+        l.prev = nullptr;
+        l.next = nullptr;
+        l.queued = false;
+        --size_;
+        while (best_ < buckets_.size() && buckets_[best_].head == nullptr) {
+            ++best_;
+        }
+    }
+
+    std::vector<Bucket> buckets_;  ///< sorted by key; never shrinks
+    std::size_t best_ = 0;         ///< first non-empty bucket (size() when none)
     std::size_t size_ = 0;
 };
 

@@ -24,11 +24,15 @@ enum class SchedPolicy {
 
 [[nodiscard]] const char* to_string(SchedPolicy p);
 
-/// Intrusive ready-queue bookkeeping embedded in each Task. Owned by the
-/// scheduler's ReadyQueue; tasks never touch it themselves.
+/// Intrusive ready-queue bookkeeping embedded in each Task. The core stamps
+/// `seq` before each push; everything else is owned by the scheduler's
+/// ReadyQueue, and tasks never touch it themselves.
 struct ReadyLink {
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    std::uint64_t seq = 0;        ///< arrival stamp: Task::arrival_seq()
     int bucket = 0;               ///< bucket key at insertion (bucket queues)
+    Task* prev = nullptr;         ///< neighbours in the bucket's FIFO list
+    Task* next = nullptr;
     std::size_t heap_pos = npos;  ///< heap slot (heap queues)
     bool queued = false;
 };

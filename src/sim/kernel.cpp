@@ -97,57 +97,101 @@ void Kernel::set_state(Process* p, ProcState s) {
 void Kernel::consult_controller() {
     // Surface a DeltaOrder choice point: which of the currently runnable
     // processes executes next. candidates[0] is the FIFO front, so a
-    // controller answering 0 leaves the deterministic order untouched.
-    std::vector<std::size_t> live;
-    for (std::size_t i = 0; i < runnable_.size(); ++i) {
-        if (!runnable_[i]->done()) {
-            live.push_back(i);
+    // controller answering 0 leaves the deterministic order untouched. Most
+    // deltas have fewer than two live candidates; counting stops at two so
+    // those cost a short scan and no allocation.
+    std::size_t live = 0;
+    for (const Process* p : runnable_) {
+        if (!p->done() && ++live == 2) {
+            break;
         }
     }
-    if (live.size() < 2) {
+    if (live < 2) {
         return;
     }
     SchedulePoint pt;
     pt.kind = SchedulePoint::Kind::DeltaOrder;
     pt.now = now_;
-    pt.candidates.reserve(live.size());
-    for (const std::size_t i : live) {
-        pt.candidates.push_back(runnable_[i]->name());
+    for (const Process* p : runnable_) {
+        if (!p->done()) {
+            pt.candidates.push_back(p->name());
+        }
     }
     const std::size_t choice = controller_->choose(pt);
-    SLM_ASSERT(choice < live.size(),
+    SLM_ASSERT(choice < pt.candidates.size(),
                "ScheduleController returned an out-of-range choice");
-    if (choice != 0) {
-        Process* chosen = runnable_[live[choice]];
-        runnable_.erase(runnable_.begin() +
-                        static_cast<std::ptrdiff_t>(live[choice]));
-        runnable_.push_front(chosen);
+    if (choice == 0) {
+        return;
+    }
+    std::size_t seen = 0;
+    for (auto it = runnable_.begin(); it != runnable_.end(); ++it) {
+        if (!(*it)->done() && seen++ == choice) {
+            Process* chosen = *it;
+            runnable_.erase(it);
+            runnable_.push_front(chosen);
+            return;
+        }
     }
 }
 
-void Kernel::drain_runnable() {
-    while (!runnable_.empty()) {
-        if (controller_ != nullptr) {
-            consult_controller();
+Process* Kernel::dispatch_step(bool from_process) {
+    // The dispatch loop, one step: drain the runnable queue, close the delta,
+    // advance time, until a process is due. run_until() drives it from the
+    // scheduler context and a blocking process from its own stack (see
+    // block_current_and_reschedule); nullptr tells either caller to stop.
+    for (;;) {
+        if (!delta_closed_) {
+            while (!runnable_.empty()) {
+                if (controller_ != nullptr) {
+                    consult_controller();
+                }
+                Process* p = runnable_.front();
+                runnable_.pop_front();
+                p->in_runnable_ = false;
+                if (!p->done()) {
+                    return p;
+                }
+            }
+            end_delta();
+            if (!runnable_.empty()) {
+                continue;  // a notification at delta end made processes runnable
+            }
+            delta_closed_ = true;
         }
-        Process* p = runnable_.front();
-        runnable_.pop_front();
-        p->in_runnable_ = false;
-        if (p->done()) {
-            continue;
+        skim_stale_entries();
+        if (timed_.empty() && timer_q_.empty()) {
+            return nullptr;
         }
-        set_state(p, ProcState::Running);
-        current_ = p;
-        ++stats_.process_activations;
-        Context::switch_to(sched_ctx_, p->ctx_, backend_);
-        current_ = nullptr;
-        if (p->done()) {
-            recycle_stack(p);
+        SimTime next = SimTime::max();
+        if (!timed_.empty()) {
+            next = timed_.top().t;
         }
-        if (abort_reason_.has_value()) {
-            return;  // a SimulationAbort unwound p; stop dispatching
+        const bool timer_due = !timer_q_.empty() && timer_q_.top().t <= next;
+        if (timer_due) {
+            next = timer_q_.top().t;
         }
+        if (next > limit_) {
+            return nullptr;
+        }
+        if (from_process && timer_due) {
+            // Timer callbacks run on the thread stack with no current
+            // process: leave this instant to the scheduler context.
+            return nullptr;
+        }
+        advance_to(next);
+        delta_closed_ = false;
     }
+}
+
+void Kernel::activate(Process* p) {
+    set_state(p, ProcState::Running);
+    current_ = p;
+    ++stats_.process_activations;
+}
+
+void Kernel::switch_context(Context& from, Context& to, bool finishing) {
+    ++stats_.host_switches;
+    Context::switch_to(from, to, backend_, finishing);
 }
 
 void Kernel::end_delta() {
@@ -167,50 +211,32 @@ void Kernel::end_delta() {
     ++stats_.delta_cycles;
 }
 
-bool Kernel::advance_time(SimTime limit) {
+bool Kernel::timed_live(const TimedEntry& e) {
     // A timed entry is live for a process sleeping in waitfor() and for a
     // process whose wait_timeout() deadline is still armed.
-    const auto live = [](const TimedEntry& e) {
-        return e.token == e.p->wake_token_ &&
-               (e.p->state_ == ProcState::WaitingTime ||
-                e.p->state_ == ProcState::WaitingEvent);
-    };
-    const auto fire = [this](const TimedEntry& e) {
-        if (e.p->state_ == ProcState::WaitingEvent) {
-            // wait_timeout() expired: leave the event's waiter list and
-            // resume with the timeout flag set.
-            if (e.p->waiting_on_ != nullptr) {
-                std::erase(e.p->waiting_on_->waiters_, e.p);
-                e.p->waiting_on_ = nullptr;
-            }
-            e.p->timed_out_ = true;
-        }
-        make_ready(e.p);
-    };
+    return e.token == e.p->wake_token_ &&
+           (e.p->state_ == ProcState::WaitingTime || e.p->state_ == ProcState::WaitingEvent);
+}
 
-    // Skim dead entries from both queues first: a cancelled timer or a
-    // superseded process wakeup must not drag simulated time forward.
-    while (!timed_.empty() && !live(timed_.top())) {
+void Kernel::skim_stale_entries() {
+    // A cancelled timer or a superseded process wakeup must neither drag
+    // simulated time forward nor count as pending activity.
+    while (!timed_.empty() && !timed_live(timed_.top())) {
         timed_.pop();
     }
     while (!timer_q_.empty() &&
            timer_fns_.find(timer_q_.top().id) == timer_fns_.end()) {
         timer_q_.pop();
     }
-    if (timed_.empty() && timer_q_.empty()) {
-        return false;
-    }
-    SimTime next = SimTime::max();
-    if (!timed_.empty()) {
-        next = timed_.top().t;
-    }
-    if (!timer_q_.empty() && timer_q_.top().t < next) {
-        next = timer_q_.top().t;
-    }
-    if (next > limit) {
-        return false;
-    }
-    now_ = next;
+}
+
+bool Kernel::activity_pending() {
+    skim_stale_entries();
+    return !timed_.empty() || !timer_q_.empty();
+}
+
+void Kernel::advance_to(SimTime t) {
+    now_ = t;
     ++stats_.time_advances;
     for (KernelObserver* obs : observers_) {
         obs->on_time_advance(now_);
@@ -224,7 +250,7 @@ bool Kernel::advance_time(SimTime limit) {
         timer_q_.pop();
         auto it = timer_fns_.find(e.id);
         if (it == timer_fns_.end()) {
-            continue;  // cancelled after the skim above (by an earlier callback)
+            continue;  // cancelled after the skim (by an earlier callback)
         }
         const std::function<void()> fn = std::move(it->second);
         timer_fns_.erase(it);
@@ -233,11 +259,20 @@ bool Kernel::advance_time(SimTime limit) {
     while (!timed_.empty() && timed_.top().t == now_) {
         const TimedEntry e = timed_.top();
         timed_.pop();
-        if (live(e)) {
-            fire(e);
+        if (!timed_live(e)) {
+            continue;
         }
+        if (e.p->state_ == ProcState::WaitingEvent) {
+            // wait_timeout() expired: leave the event's waiter list and
+            // resume with the timeout flag set.
+            if (e.p->waiting_on_ != nullptr) {
+                std::erase(e.p->waiting_on_->waiters_, e.p);
+                e.p->waiting_on_ = nullptr;
+            }
+            e.p->timed_out_ = true;
+        }
+        make_ready(e.p);
     }
-    return true;
 }
 
 Kernel::TimerId Kernel::post_at(SimTime t, std::function<void()> fn) {
@@ -275,29 +310,29 @@ bool Kernel::run_until(SimTime t_end) {
         }
     } guard{this, prev};
     sched_ctx_.adopt_thread_stack();  // ASan fiber bookkeeping; no-op otherwise
+    limit_ = t_end;
+    delta_closed_ = false;
 
-    for (;;) {
-        drain_runnable();
+    while (Process* p = dispatch_step(/*from_process=*/false)) {
+        activate(p);
+        switch_context(sched_ctx_, p->ctx_);
+        // Processes hand the CPU to each other directly, so the one switching
+        // back here need not be `p`: it is whichever is current_ (null when a
+        // blocked process returned control at a timer or the run's end).
+        Process* back = current_;
+        current_ = nullptr;
+        if (back != nullptr && back->done()) {
+            recycle_stack(back);
+        }
         if (abort_reason_.has_value()) {
-            return !timed_.empty() || !timer_fns_.empty();
-        }
-        end_delta();
-        if (!runnable_.empty()) {
-            continue;  // a notification at delta end made processes runnable
-        }
-        if (!advance_time(t_end)) {
-            break;
+            return activity_pending();  // a SimulationAbort unwound `back`
         }
     }
 
     if (t_end != SimTime::max() && now_ < t_end) {
         now_ = t_end;
     }
-
-    // Any remaining top-of-queue entries are real future activity (stale ones
-    // were popped by advance_time when it last ran); a live one-shot timer is
-    // pending activity too.
-    return !timed_.empty() || !timer_fns_.empty();
+    return activity_pending();
 }
 
 std::vector<const Process*> Kernel::blocked_processes() const {
@@ -317,8 +352,30 @@ void Kernel::check_killed() {
 }
 
 void Kernel::block_current_and_reschedule() {
+    // The blocking process runs the dispatch loop itself, as the scheduler
+    // context would (no current process while it does): it resumes inline if
+    // it is next, switches straight to the next process otherwise, and
+    // returns control to the scheduler context only where dispatch_step says
+    // stop (a due timer, the run_until bound, no activity) or after an abort.
     Process* self = current_;
-    Context::switch_to(self->ctx_, sched_ctx_, backend_);
+    current_ = nullptr;
+    Process* next = nullptr;
+    if (!abort_reason_.has_value()) {
+        try {
+            next = dispatch_step(/*from_process=*/true);
+        } catch (...) {
+            current_ = self;  // an observer or controller threw: unwind `self`
+            throw;
+        }
+    }
+    if (next == self) {
+        activate(self);
+    } else if (next == nullptr) {
+        switch_context(self->ctx_, sched_ctx_);
+    } else {
+        activate(next);
+        switch_context(self->ctx_, next->ctx_);
+    }
 }
 
 void Kernel::wait(Event& e) {
@@ -464,7 +521,8 @@ void Kernel::finish_current(ProcState final_state) {
             make_ready(p->parent_);
         }
     }
-    Context::switch_to(p->ctx_, sched_ctx_, backend_, /*finishing=*/true);
+    // Back to the scheduler context, which recycles the stack this runs on.
+    switch_context(p->ctx_, sched_ctx_, /*finishing=*/true);
     SLM_ASSERT(false, "a finished process was resumed");
 }
 

@@ -51,7 +51,8 @@ struct KernelConfig {
 /// Aggregate counters maintained by the kernel; cheap enough to be always on.
 struct KernelStats {
     std::uint64_t processes_created = 0;
-    std::uint64_t process_activations = 0;  ///< process dispatches (sim-level switches)
+    std::uint64_t process_activations = 0;  ///< process dispatches, inline or switched
+    std::uint64_t host_switches = 0;        ///< machine-context switches performed
     std::uint64_t delta_cycles = 0;
     std::uint64_t time_advances = 0;
     std::uint64_t events_notified = 0;
@@ -235,9 +236,18 @@ private:
     void block_current_and_reschedule();
     void check_killed();
     void finish_current(ProcState final_state);  // called from trampoline; no return
-    bool advance_time(SimTime limit);
+    /// One step of the dispatch loop (drain, end_delta, advance time): the
+    /// next process to dispatch, or nullptr when the caller must stop. A
+    /// process calling it also stops at an instant with a due post_at timer.
+    Process* dispatch_step(bool from_process);
+    void activate(Process* p);
+    /// Every machine-context switch goes through here (KernelStats::host_switches).
+    void switch_context(Context& from, Context& to, bool finishing = false);
+    static bool timed_live(const TimedEntry& e);
+    void skim_stale_entries();
+    bool activity_pending();
+    void advance_to(SimTime t);
     void end_delta();
-    void drain_runnable();
     void consult_controller();
     void recycle_stack(Process* p);
     void sync_stack_stats();
@@ -263,6 +273,8 @@ private:
     ScheduleController* controller_ = nullptr;
     std::optional<std::string> abort_reason_;
     bool running_ = false;
+    SimTime limit_ = SimTime::max();  ///< the active run_until() bound
+    bool delta_closed_ = false;       ///< delta ended, nothing runnable: time moves next
     std::uint64_t seq_counter_ = 0;
     int next_id_ = 1;
     KernelStats stats_{};

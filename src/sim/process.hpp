@@ -50,6 +50,12 @@ public:
         return state_ == ProcState::Done || state_ == ProcState::Killed;
     }
 
+    /// One pointer for the layer that runs its own entity on this process
+    /// (the RTOS model keeps the bound Task here, so finding the calling task
+    /// is a load, not a lookup). The kernel never reads it.
+    [[nodiscard]] void* owner() const { return owner_; }
+    void set_owner(void* owner) { owner_ = owner; }
+
 private:
     friend class Kernel;
     friend class Event;  // Event::~Event detaches blocked waiters
@@ -74,6 +80,7 @@ private:
     bool in_runnable_ = false;              ///< guards against double-enqueue
     bool timed_out_ = false;                ///< set when wait_timeout() expires
     std::unique_ptr<Event> done_evt_;       ///< lazily created by Kernel::join()
+    void* owner_ = nullptr;                 ///< see owner()
 };
 
 }  // namespace slm::sim

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <tuple>
@@ -180,3 +183,171 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{SchedPolicy::Edf, 42}, Scenario{SchedPolicy::Rms, 1},
         Scenario{SchedPolicy::Rms, 7}, Scenario{SchedPolicy::Rms, 42}),
     scenario_name);
+
+// ---- PriorityBucketQueue against a reference order ----
+
+namespace {
+
+/// Exposes ReadyQueue's intrusive-link accessor, so the test can stamp
+/// arrival sequence numbers the way OsCore does before each push.
+struct LinkAccess : ReadyQueue {
+    using ReadyQueue::link;
+};
+
+/// The reference: queued tasks in a flat list, best = smallest
+/// (effective priority, arrival_seq). Every priority change in the test is
+/// followed by requeue(), so the current effective priority is the key.
+struct ReferenceQueue {
+    static bool before(const Task* a, const Task* b) {
+        return a->effective_priority() != b->effective_priority()
+                   ? a->effective_priority() < b->effective_priority()
+                   : a->arrival_seq() < b->arrival_seq();
+    }
+    [[nodiscard]] Task* best() const {
+        return tasks.empty() ? nullptr : *std::min_element(tasks.begin(), tasks.end(), before);
+    }
+    [[nodiscard]] std::vector<Task*> ties() const {
+        std::vector<Task*> out;
+        if (const Task* b = best()) {
+            for (Task* t : tasks) {
+                if (t->effective_priority() == b->effective_priority()) {
+                    out.push_back(t);
+                }
+            }
+        }
+        std::sort(out.begin(), out.end(), before);
+        return out;
+    }
+    void remove(Task* t) { std::erase(tasks, t); }
+    [[nodiscard]] bool contains(const Task* t) const {
+        return std::find(tasks.begin(), tasks.end(), t) != tasks.end();
+    }
+    std::vector<Task*> tasks;
+};
+
+}  // namespace
+
+TEST(ReadyQueueDifferential, PriorityBucketsMatchReferenceOrder) {
+    constexpr std::uint32_t kSeeds = 200;
+    constexpr int kOps = 400;
+    constexpr SchedPolicy kOthers[] = {SchedPolicy::Fifo, SchedPolicy::RoundRobin,
+                                       SchedPolicy::Edf, SchedPolicy::Rms};
+    for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng{seed};
+        Kernel k;
+        RtosModel os{k};  // never started: it only owns the TCBs
+        std::vector<Task*> tasks;
+        const int n_tasks = 2 + static_cast<int>(rng() % 12);
+        for (int i = 0; i < n_tasks; ++i) {
+            tasks.push_back(os.task_create("t" + std::to_string(i), TaskType::Aperiodic, {},
+                                           {}, static_cast<int>(rng() % 5)));
+        }
+        const auto priority = make_policy(SchedPolicy::Priority);
+        std::unique_ptr<ReadyQueue> q = priority->make_queue();
+        ReferenceQueue ref;
+        std::uint64_t seq = 0;
+        for (int op = 0; op < kOps; ++op) {
+            SCOPED_TRACE("op " + std::to_string(op));
+            Task* t = tasks[rng() % tasks.size()];
+            switch (rng() % 7) {
+                case 0:
+                case 1:  // push
+                    if (!ref.contains(t)) {
+                        LinkAccess::link(*t).seq = ++seq;
+                        q->push(t);
+                        ref.tasks.push_back(t);
+                    }
+                    break;
+                case 2:  // pop
+                    if (!ref.tasks.empty()) {
+                        Task* want = ref.best();
+                        ASSERT_EQ(q->pop(), want);
+                        ref.remove(want);
+                    }
+                    break;
+                case 3:  // erase, queued or not
+                    q->erase(t);
+                    ref.remove(t);
+                    break;
+                case 4: {  // priority boost (or its release), then re-sort
+                    const unsigned level = rng() % 6;
+                    os.restore_priority(t, level == 5 ? std::numeric_limits<int>::max()
+                                                      : static_cast<int>(level));
+                    q->requeue(t);
+                    break;
+                }
+                case 5: {  // ties
+                    std::vector<Task*> got;
+                    q->ties(got);
+                    ASSERT_EQ(got, ref.ties());
+                    break;
+                }
+                case 6: {  // migrate out to another policy and back, as start(policy) does
+                    const auto other = make_policy(kOthers[rng() % 4]);
+                    for (const SchedulerPolicy* to : {other.get(), priority.get()}) {
+                        std::unique_ptr<ReadyQueue> next = to->make_queue();
+                        while (!q->empty()) {
+                            next->push(q->pop());
+                        }
+                        q = std::move(next);
+                    }
+                    break;
+                }
+                default:
+                    break;
+            }
+            ASSERT_EQ(q->size(), ref.tasks.size());
+            ASSERT_EQ(q->empty(), ref.tasks.empty());
+            ASSERT_EQ(q->peek(), ref.best());
+        }
+        while (!ref.tasks.empty()) {  // drain: the full order must agree
+            Task* want = ref.best();
+            ASSERT_EQ(q->pop(), want);
+            ref.remove(want);
+        }
+        EXPECT_TRUE(q->empty());
+    }
+}
+
+TEST(ReadyQueueDifferential, StartMigratesQueuedTasksIntoPriorityOrder) {
+    // Tasks activated before start(policy) sit in the configured policy's
+    // queue; start(Priority) moves them across, and they then run in
+    // (priority, activation order).
+    constexpr SchedPolicy kFirst[] = {SchedPolicy::Fifo, SchedPolicy::Edf, SchedPolicy::Rms,
+                                      SchedPolicy::Priority};
+    for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng{seed};
+        Kernel k;
+        RtosConfig cfg;
+        cfg.policy = kFirst[rng() % 4];
+        RtosModel os{k, cfg};
+        os.init();
+        std::vector<std::pair<int, std::string>> want;
+        std::vector<std::string> ran;
+        const int n_tasks = 2 + static_cast<int>(rng() % 8);
+        for (int i = 0; i < n_tasks; ++i) {
+            const int prio = static_cast<int>(rng() % 4);
+            Task* t = os.task_create("t" + std::to_string(i), TaskType::Aperiodic, {}, {}, prio);
+            want.emplace_back(prio, t->name());
+            k.spawn(t->name(), [&os, &ran, t] {
+                os.task_activate(t);
+                ran.push_back(t->name());
+                os.task_terminate();
+            });
+        }
+        k.spawn("boot", [&] {
+            k.waitfor(1_us);
+            os.start(SchedPolicy::Priority);
+        });
+        k.run();
+        std::stable_sort(want.begin(), want.end(),
+                         [](const auto& a, const auto& b) { return a.first < b.first; });
+        std::vector<std::string> want_names;
+        for (const auto& [prio, name] : want) {
+            want_names.push_back(name);
+        }
+        EXPECT_EQ(ran, want_names);
+    }
+}

@@ -783,6 +783,156 @@ TEST(Kernel, TimerCallbackCanChainAnotherTimer) {
     EXPECT_EQ(fires, (std::vector<SimTime>{10_us, 20_us, 30_us}));
 }
 
+// ---- Dispatch without the scheduler round trip ----
+
+TEST(Kernel, LoneProcessResumesInlineWithoutHostSwitches) {
+    // Each waitfor() of a process with no company resumes the process that
+    // blocked: it is dispatched every time but switched to only once, and
+    // switches back only when it finishes.
+    constexpr std::uint64_t kSteps = 1000;
+    Kernel k;
+    k.spawn("p", [&] {
+        for (std::uint64_t i = 0; i < kSteps; ++i) {
+            k.waitfor(1_us);
+        }
+    });
+    k.run();
+    EXPECT_EQ(k.now(), microseconds(kSteps));
+    EXPECT_EQ(k.stats().process_activations, kSteps + 1);
+    EXPECT_EQ(k.stats().time_advances, kSteps);
+    EXPECT_EQ(k.stats().host_switches, 2u);
+}
+
+TEST(Kernel, PingPongTakesOneHostSwitchPerActivation) {
+    // Two processes alternating over events hand the CPU straight to each
+    // other: one switch per activation, plus one back to the scheduler
+    // context when each process finishes.
+    constexpr int kRounds = 500;
+    Kernel k;
+    Event ping{k, "ping"};
+    Event pong{k, "pong"};
+    std::vector<int> order;
+    k.spawn("b", [&] {
+        for (int i = 0; i < kRounds; ++i) {
+            k.wait(ping);
+            order.push_back(2 * i + 1);
+            k.notify(pong);
+        }
+    });
+    k.spawn("a", [&] {
+        for (int i = 0; i < kRounds; ++i) {
+            order.push_back(2 * i);
+            k.notify(ping);
+            k.wait(pong);
+        }
+    });
+    k.run();
+    ASSERT_EQ(order.size(), 2u * kRounds);
+    for (int i = 0; i < 2 * kRounds; ++i) {
+        ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
+    }
+    const KernelStats& s = k.stats();
+    EXPECT_EQ(s.process_activations, 2u * kRounds + 2);
+    EXPECT_EQ(s.host_switches, s.process_activations + 2);
+}
+
+TEST(Kernel, AbortReportsOnlyLiveActivityAsRemaining) {
+    // After an abort, run_until() answers "activity remains" from live timed
+    // entries only: a killed sleeper's wakeup and a wait_timeout() deadline
+    // superseded by its notify are stale and do not count.
+    for (const bool live_sleeper : {false, true}) {
+        Kernel k;
+        Event e{k, "e"};
+        Process* sleeper = k.spawn("sleeper", [&] { k.waitfor(100_us); });
+        k.spawn("waiter", [&] { (void)k.wait_timeout(e, 50_us); });
+        if (live_sleeper) {
+            k.spawn("live", [&] { k.waitfor(150_us); });
+        }
+        k.spawn("stopper", [&] {
+            k.notify(e);
+            k.kill(*sleeper);
+            k.waitfor(1_us);
+            throw SimulationAbort{"stop"};
+        });
+        EXPECT_EQ(k.run_until(200_us), live_sleeper);
+        EXPECT_TRUE(k.aborted());
+        EXPECT_EQ(k.now(), 1_us);
+    }
+}
+
+TEST(Kernel, ObserversAndControllerSeeNoCurrentProcessWhileDispatching) {
+    // A blocked process drives dispatch on its own stack, but the loop runs
+    // as the scheduler context did: this_process() is null inside kernel
+    // observer callbacks and choice points raised by the loop.
+    struct Probe final : KernelObserver, ScheduleController {
+        void on_process_state(const Process&, ProcState from, ProcState) override {
+            // Transitions a process makes itself (Running -> blocked/done)
+            // happen in its own context; everything else is the loop's.
+            if (from != ProcState::Running) {
+                non_null += this_process() != nullptr ? 1 : 0;
+            }
+        }
+        void on_time_advance(SimTime) override {
+            non_null += this_process() != nullptr ? 1 : 0;
+        }
+        std::size_t choose(const SchedulePoint&) override {
+            non_null += this_process() != nullptr ? 1 : 0;
+            ++points;
+            return 0;
+        }
+        int non_null = 0;
+        int points = 0;
+    } probe;
+    Kernel k;
+    k.set_observer(&probe);
+    k.set_schedule_controller(&probe);
+    Event e{k, "e"};
+    for (int i = 0; i < 3; ++i) {
+        k.spawn("w" + std::to_string(i), [&] {
+            k.wait(e);
+            k.waitfor(1_us);
+        });
+    }
+    k.spawn("n", [&] {
+        k.waitfor(1_us);
+        k.notify(e);
+        k.yield();
+    });
+    k.run();
+    EXPECT_GT(probe.points, 0);
+    EXPECT_EQ(probe.non_null, 0);
+}
+
+TEST(Kernel, AbortThrownInsideProcessDrivenDispatchUnwindsThatProcess) {
+    // A lone process advances time itself, so an observer throwing
+    // SimulationAbort from on_time_advance throws on that process's stack:
+    // the process unwinds (running its destructors) and the run aborts.
+    struct Thrower final : KernelObserver {
+        void on_time_advance(SimTime now) override {
+            if (now == 3_us) {
+                throw SimulationAbort{"observer"};
+            }
+        }
+    } thrower;
+    Kernel k;
+    k.set_observer(&thrower);
+    bool unwound = false;
+    k.spawn("p", [&] {
+        struct Guard {
+            bool& flag;
+            ~Guard() { flag = true; }
+        } guard{unwound};
+        for (;;) {
+            k.waitfor(1_us);
+        }
+    });
+    EXPECT_FALSE(k.run_until(10_us));
+    EXPECT_TRUE(k.aborted());
+    EXPECT_EQ(k.abort_reason().value_or(""), "observer");
+    EXPECT_TRUE(unwound);
+    EXPECT_EQ(k.now(), 3_us);
+}
+
 // ---- Guard-page fallback (satellite: StackPool robustness) ----
 
 TEST(Kernel, GuardFailureFallsBackToUnguardedStacks) {
@@ -806,4 +956,392 @@ TEST(Kernel, GuardFailureFallsBackToUnguardedStacks) {
     k.spawn("p", [] {});
     k.run();
     EXPECT_EQ(k.stats().guard_pages_disabled, 0u);
+}
+
+// ---- Dispatch-order golden ----
+
+namespace {
+
+/// Logs every kernel-observed transition and time advance as
+/// "process from>to @time" / "time @time", interleaved with the processes'
+/// own log lines, so one vector pins the complete (process, event, time)
+/// order of a run.
+struct GoldenLog final : KernelObserver {
+    explicit GoldenLog(Kernel& k) : k(k) {}
+    void on_process_state(const Process& p, ProcState from, ProcState to) override {
+        lines.push_back(p.name() + " " + to_string(from) + ">" + to_string(to) + " @" +
+                        k.now().to_string());
+    }
+    void on_time_advance(SimTime now) override {
+        lines.push_back("time @" + now.to_string());
+    }
+    void note(const std::string& what) {
+        lines.push_back(what + " @" + k.now().to_string());
+    }
+    Kernel& k;
+    std::vector<std::string> lines;
+};
+
+/// Logs every choice point offered and answers it: the FIFO front on even
+/// points, the last candidate on odd ones.
+struct AlternatingController final : ScheduleController {
+    std::size_t choose(const SchedulePoint& pt) override {
+        std::string line = std::string(to_string(pt.kind)) + " @" + pt.now.to_string() + ":";
+        for (const std::string& c : pt.candidates) {
+            line += " " + c;
+        }
+        const std::size_t pick = points.size() % 2 == 1 ? pt.candidates.size() - 1 : 0;
+        points.push_back(line + " -> " + std::to_string(pick));
+        return pick;
+    }
+    std::vector<std::string> points;
+};
+
+/// One run through every dispatch path: waitfor(0) and yield, a notify
+/// releasing several waiters, wait_timeout losing and winning a race against a
+/// notify, par/join, a kill from a post_at callback, a timer due at the same
+/// instant as a solo wakeup, run_until stopping at its limit while one process
+/// sleeps past it, and a SimulationAbort thrown by a process entered straight
+/// from the process that blocked before it. Returns the observer log.
+std::vector<std::string> run_golden_scenario(ScheduleController* ctl) {
+    Kernel k;
+    GoldenLog g{k};
+    k.set_observer(&g);
+    k.set_schedule_controller(ctl);
+    Event e1{k, "e1"};
+    Event e2{k, "e2"};
+    Event e3{k, "e3"};
+    Event e4{k, "e4"};
+    Event e5{k, "e5"};
+    struct Unwind {
+        GoldenLog& g;
+        ~Unwind() { g.note("V unwound"); }
+    };
+
+    Process* a = k.spawn("A", [&] {
+        g.note("A start");
+        k.waitfor(0_ns);
+        g.note("A after waitfor0");
+        k.yield();
+        g.note("A after yield");
+        k.notify(e1);
+        const bool got = k.wait_timeout(e2, 3_us);
+        g.note(std::string("A wait_timeout ") + (got ? "event" : "timeout"));
+        k.par({[&] {
+                   k.waitfor(1_us);
+                   g.note("A.par0 done");
+               },
+               [&] { g.note("A.par1 done"); }});
+        g.note("A joined");
+    });
+    k.spawn("B", [&] {
+        k.wait(e1);
+        g.note("B woke");
+        k.waitfor(3_us);
+        k.notify(e2);
+        g.note("B notified e2");
+    });
+    k.spawn("C", [&] {
+        k.wait(e1);
+        g.note("C woke");
+        k.waitfor(4_us);
+        k.notify(e3);
+        g.note("C notified e3");
+    });
+    k.spawn("D", [&] {
+        const bool got = k.wait_timeout(e3, 5_us);
+        g.note(std::string("D wait_timeout ") + (got ? "event" : "timeout"));
+    });
+    k.spawn("J", [&] {
+        k.join(*a);
+        g.note("J joined A");
+    });
+    Process* v = k.spawn("V", [&] {
+        Unwind u{g};
+        k.waitfor(100_us);
+        g.note("V never");
+    });
+    k.spawn("F", [&] {
+        k.waitfor(8_us);
+        g.note("F at 8");
+        k.waitfor(4_us);
+        g.note("F at 12");
+        k.waitfor(3_us);
+        k.notify(e4);
+        k.wait(e5);
+        g.note("F never");
+    });
+    k.spawn("I", [&] {
+        k.wait(e4);
+        g.note("I aborts");
+        throw SimulationAbort{"golden stop"};
+    });
+    k.post_at(6_us, [&] {
+        g.note("timer kills V");
+        k.kill(*v);
+    });
+    k.post_at(8_us, [&] { g.note("timer at 8"); });
+
+    EXPECT_TRUE(k.run_until(10_us));
+    g.note("run_until(10us) returned");
+    (void)k.run_until(50_us);
+    g.note("run_until(50us) returned");
+    g.note("aborted: " + k.abort_reason().value_or("no"));
+
+    const KernelStats& s = k.stats();
+    g.lines.push_back("activations " + std::to_string(s.process_activations) +
+                      " deltas " + std::to_string(s.delta_cycles) + " advances " +
+                      std::to_string(s.time_advances) + " notified " +
+                      std::to_string(s.events_notified));
+    return g.lines;
+}
+
+}  // namespace
+
+TEST(KernelGolden, MixedScenarioOrderIsPinned) {
+    const std::vector<std::string> expected = {
+        "A Created>Ready @0 ns",
+        "B Created>Ready @0 ns",
+        "C Created>Ready @0 ns",
+        "D Created>Ready @0 ns",
+        "J Created>Ready @0 ns",
+        "V Created>Ready @0 ns",
+        "F Created>Ready @0 ns",
+        "I Created>Ready @0 ns",
+        "A Ready>Running @0 ns",
+        "A start @0 ns",
+        "A Running>WaitingTime @0 ns",
+        "B Ready>Running @0 ns",
+        "B Running>WaitingEvent @0 ns",
+        "C Ready>Running @0 ns",
+        "C Running>WaitingEvent @0 ns",
+        "D Ready>Running @0 ns",
+        "D Running>WaitingEvent @0 ns",
+        "J Ready>Running @0 ns",
+        "J Running>WaitingEvent @0 ns",
+        "V Ready>Running @0 ns",
+        "V Running>WaitingTime @0 ns",
+        "F Ready>Running @0 ns",
+        "F Running>WaitingTime @0 ns",
+        "I Ready>Running @0 ns",
+        "I Running>WaitingEvent @0 ns",
+        "time @0 ns",
+        "A WaitingTime>Ready @0 ns",
+        "A Ready>Running @0 ns",
+        "A after waitfor0 @0 ns",
+        "A Running>Ready @0 ns",
+        "A Ready>Running @0 ns",
+        "A after yield @0 ns",
+        "A Running>WaitingEvent @0 ns",
+        "B WaitingEvent>Ready @0 ns",
+        "C WaitingEvent>Ready @0 ns",
+        "B Ready>Running @0 ns",
+        "B woke @0 ns",
+        "B Running>WaitingTime @0 ns",
+        "C Ready>Running @0 ns",
+        "C woke @0 ns",
+        "C Running>WaitingTime @0 ns",
+        "time @3 us",
+        "A WaitingEvent>Ready @3 us",
+        "B WaitingTime>Ready @3 us",
+        "A Ready>Running @3 us",
+        "A wait_timeout timeout @3 us",
+        "A.par0 Created>Ready @3 us",
+        "A.par1 Created>Ready @3 us",
+        "A Running>Joining @3 us",
+        "B Ready>Running @3 us",
+        "B notified e2 @3 us",
+        "B Running>Done @3 us",
+        "A.par0 Ready>Running @3 us",
+        "A.par0 Running>WaitingTime @3 us",
+        "A.par1 Ready>Running @3 us",
+        "A.par1 done @3 us",
+        "A.par1 Running>Done @3 us",
+        "time @4 us",
+        "C WaitingTime>Ready @4 us",
+        "A.par0 WaitingTime>Ready @4 us",
+        "C Ready>Running @4 us",
+        "C notified e3 @4 us",
+        "C Running>Done @4 us",
+        "A.par0 Ready>Running @4 us",
+        "A.par0 done @4 us",
+        "A.par0 Running>Done @4 us",
+        "A Joining>Ready @4 us",
+        "A Ready>Running @4 us",
+        "A joined @4 us",
+        "A Running>Done @4 us",
+        "D WaitingEvent>Ready @4 us",
+        "J WaitingEvent>Ready @4 us",
+        "D Ready>Running @4 us",
+        "D wait_timeout event @4 us",
+        "D Running>Done @4 us",
+        "J Ready>Running @4 us",
+        "J joined A @4 us",
+        "J Running>Done @4 us",
+        "time @6 us",
+        "timer kills V @6 us",
+        "V WaitingTime>Ready @6 us",
+        "V Ready>Running @6 us",
+        "V unwound @6 us",
+        "V Running>Killed @6 us",
+        "time @8 us",
+        "timer at 8 @8 us",
+        "F WaitingTime>Ready @8 us",
+        "F Ready>Running @8 us",
+        "F at 8 @8 us",
+        "F Running>WaitingTime @8 us",
+        "run_until(10us) returned @10 us",
+        "time @12 us",
+        "F WaitingTime>Ready @12 us",
+        "F Ready>Running @12 us",
+        "F at 12 @12 us",
+        "F Running>WaitingTime @12 us",
+        "time @15 us",
+        "F WaitingTime>Ready @15 us",
+        "F Ready>Running @15 us",
+        "F Running>WaitingEvent @15 us",
+        "I WaitingEvent>Ready @15 us",
+        "I Ready>Running @15 us",
+        "I aborts @15 us",
+        "I Running>Killed @15 us",
+        "run_until(50us) returned @15 us",
+        "aborted: golden stop @15 us",
+        "activations 26 deltas 11 advances 7 notified 5",
+    };
+    EXPECT_EQ(run_golden_scenario(nullptr), expected);
+}
+
+TEST(KernelGolden, MixedScenarioChoicePointsArePinned) {
+    // The same scenario under a controller: every DeltaOrder point is offered
+    // with the same candidates in the same order, and answering it reorders
+    // the run the same way.
+    AlternatingController ctl;
+    const std::vector<std::string> lines = run_golden_scenario(&ctl);
+    const std::vector<std::string> expected_points = {
+        "delta_order @0 ns: A B C D J V F I -> 0",
+        "delta_order @0 ns: B C D J V F I -> 6",
+        "delta_order @0 ns: B C D J V F -> 0",
+        "delta_order @0 ns: C D J V F -> 4",
+        "delta_order @0 ns: C D J V -> 0",
+        "delta_order @0 ns: D J V -> 2",
+        "delta_order @0 ns: D J -> 0",
+        "delta_order @0 ns: B C -> 1",
+        "delta_order @3 us: A B -> 0",
+        "delta_order @3 us: B A.par0 A.par1 -> 2",
+        "delta_order @3 us: B A.par0 -> 0",
+        "delta_order @4 us: C A.par0 -> 1",
+        "delta_order @4 us: C A -> 0",
+        "delta_order @4 us: D J -> 1",
+    };
+    EXPECT_EQ(ctl.points, expected_points);
+    const std::vector<std::string> expected = {
+        "A Created>Ready @0 ns",
+        "B Created>Ready @0 ns",
+        "C Created>Ready @0 ns",
+        "D Created>Ready @0 ns",
+        "J Created>Ready @0 ns",
+        "V Created>Ready @0 ns",
+        "F Created>Ready @0 ns",
+        "I Created>Ready @0 ns",
+        "A Ready>Running @0 ns",
+        "A start @0 ns",
+        "A Running>WaitingTime @0 ns",
+        "I Ready>Running @0 ns",
+        "I Running>WaitingEvent @0 ns",
+        "B Ready>Running @0 ns",
+        "B Running>WaitingEvent @0 ns",
+        "F Ready>Running @0 ns",
+        "F Running>WaitingTime @0 ns",
+        "C Ready>Running @0 ns",
+        "C Running>WaitingEvent @0 ns",
+        "V Ready>Running @0 ns",
+        "V Running>WaitingTime @0 ns",
+        "D Ready>Running @0 ns",
+        "D Running>WaitingEvent @0 ns",
+        "J Ready>Running @0 ns",
+        "J Running>WaitingEvent @0 ns",
+        "time @0 ns",
+        "A WaitingTime>Ready @0 ns",
+        "A Ready>Running @0 ns",
+        "A after waitfor0 @0 ns",
+        "A Running>Ready @0 ns",
+        "A Ready>Running @0 ns",
+        "A after yield @0 ns",
+        "A Running>WaitingEvent @0 ns",
+        "B WaitingEvent>Ready @0 ns",
+        "C WaitingEvent>Ready @0 ns",
+        "C Ready>Running @0 ns",
+        "C woke @0 ns",
+        "C Running>WaitingTime @0 ns",
+        "B Ready>Running @0 ns",
+        "B woke @0 ns",
+        "B Running>WaitingTime @0 ns",
+        "time @3 us",
+        "A WaitingEvent>Ready @3 us",
+        "B WaitingTime>Ready @3 us",
+        "A Ready>Running @3 us",
+        "A wait_timeout timeout @3 us",
+        "A.par0 Created>Ready @3 us",
+        "A.par1 Created>Ready @3 us",
+        "A Running>Joining @3 us",
+        "A.par1 Ready>Running @3 us",
+        "A.par1 done @3 us",
+        "A.par1 Running>Done @3 us",
+        "B Ready>Running @3 us",
+        "B notified e2 @3 us",
+        "B Running>Done @3 us",
+        "A.par0 Ready>Running @3 us",
+        "A.par0 Running>WaitingTime @3 us",
+        "time @4 us",
+        "C WaitingTime>Ready @4 us",
+        "A.par0 WaitingTime>Ready @4 us",
+        "A.par0 Ready>Running @4 us",
+        "A.par0 done @4 us",
+        "A.par0 Running>Done @4 us",
+        "A Joining>Ready @4 us",
+        "C Ready>Running @4 us",
+        "C notified e3 @4 us",
+        "C Running>Done @4 us",
+        "A Ready>Running @4 us",
+        "A joined @4 us",
+        "A Running>Done @4 us",
+        "D WaitingEvent>Ready @4 us",
+        "J WaitingEvent>Ready @4 us",
+        "J Ready>Running @4 us",
+        "J joined A @4 us",
+        "J Running>Done @4 us",
+        "D Ready>Running @4 us",
+        "D wait_timeout event @4 us",
+        "D Running>Done @4 us",
+        "time @6 us",
+        "timer kills V @6 us",
+        "V WaitingTime>Ready @6 us",
+        "V Ready>Running @6 us",
+        "V unwound @6 us",
+        "V Running>Killed @6 us",
+        "time @8 us",
+        "timer at 8 @8 us",
+        "F WaitingTime>Ready @8 us",
+        "F Ready>Running @8 us",
+        "F at 8 @8 us",
+        "F Running>WaitingTime @8 us",
+        "run_until(10us) returned @10 us",
+        "time @12 us",
+        "F WaitingTime>Ready @12 us",
+        "F Ready>Running @12 us",
+        "F at 12 @12 us",
+        "F Running>WaitingTime @12 us",
+        "time @15 us",
+        "F WaitingTime>Ready @15 us",
+        "F Ready>Running @15 us",
+        "F Running>WaitingEvent @15 us",
+        "I WaitingEvent>Ready @15 us",
+        "I Ready>Running @15 us",
+        "I aborts @15 us",
+        "I Running>Killed @15 us",
+        "run_until(50us) returned @15 us",
+        "aborted: golden stop @15 us",
+        "activations 26 deltas 11 advances 7 notified 5",
+    };
+    EXPECT_EQ(lines, expected);
 }
