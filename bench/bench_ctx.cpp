@@ -67,8 +67,7 @@ void pingpong_entry(void* raw) {
 }
 
 Measurement bm_raw_switch(sim::ContextBackend backend, int round_trips) {
-    sim::StackPool pool{/*guard_pages=*/false};
-    sim::StackBlock stack = pool.acquire(64 * 1024);
+    const sim::StackBlock stack = sim::StackPool::acquire(64 * 1024, /*guarded=*/false).block;
     PingPong pp;
     pp.backend = backend;
     pp.main_ctx.adopt_thread_stack();
@@ -80,7 +79,7 @@ Measurement bm_raw_switch(sim::ContextBackend backend, int round_trips) {
     const double ns = elapsed_ns(t0);
     pp.done = true;
     sim::Context::switch_to(pp.main_ctx, pp.fib_ctx, backend);
-    pool.release(stack);
+    sim::StackPool::release(stack);
     return finish(2 * static_cast<std::uint64_t>(round_trips), ns);
 }
 

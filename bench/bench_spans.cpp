@@ -14,18 +14,27 @@
 //                         is an interned fixed-width append per event, so the
 //                         observed ratio sits near 1.0x.
 //   disabled_delta_noise  HARD: two independent spans-disabled batches must
-//                         agree within 30% (best-of-reps each) — the
+//                         agree within 30% — the
 //                         "disabled tracing is zero-cost" claim made
 //                         falsifiable: the hooks add no measurable time, so
 //                         any two disabled runs differ only by timer noise.
+//
+// Timing: each figure is the best run of its batch. The two disabled
+// batches and the enabled one run interleaved, one run each per round in a
+// shuffled order, until each disabled batch has lasted at least 20 ms and
+// every batch has at least 15 runs.
 //
 // Usage: bench_spans [--smoke] [--out FILE]
 //   --smoke   tiny workloads for CI (milliseconds)
 //   --out     output path (default: BENCH_spans.json in the CWD)
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -57,16 +66,54 @@ double run_model(const vocoder::VocoderConfig& cfg, obs::SpanRecorder* rec) {
     return elapsed_ms(t0);
 }
 
-/// Best-of-`reps` spans-disabled run (damp scheduler/allocator noise).
-double best_disabled(const vocoder::VocoderConfig& cfg, int reps) {
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const double ms = run_model(cfg, nullptr);
-        if (r == 0 || ms < best) {
-            best = ms;
+/// Each spans-disabled batch runs at least this long in total, so its best
+/// run is taken over many runs even when one run takes a fraction of a
+/// millisecond (--smoke).
+constexpr double kMinBatchMs = 20.0;
+/// Every batch has at least this many runs, so it holds unstalled runs even
+/// when a few slow ones (the first runs of a sanitizer build, a descheduled
+/// time slice) alone fill kMinBatchMs.
+constexpr std::size_t kMinBatchRuns = 15;
+
+/// Best (fastest) run of a batch: host interference only ever adds time.
+double best(const std::vector<double>& ms) {
+    return *std::min_element(ms.begin(), ms.end());
+}
+
+/// The three timed batches: two spans-disabled, one enabled.
+struct Batches {
+    std::vector<double> disabled_a, disabled_b, enabled;
+};
+
+/// Runs the batches in rounds, one run of each per round in a shuffled
+/// order, until each has at least kMinBatchRuns runs and each disabled batch
+/// has lasted kMinBatchMs. Host interference comes in phases longer than one
+/// run and in periodic stalls (a descheduled time slice); interleaving lands
+/// each phase on all three batches alike, and the shuffle keeps a stall whose
+/// period is close to a round's length from landing on one batch round after
+/// round. The last enabled run's recording lands in `keep`.
+Batches run_batches(const vocoder::VocoderConfig& cfg, obs::SpanRecorder& keep) {
+    Batches b;
+    double a_ms = 0.0;
+    double b_ms = 0.0;
+    std::minstd_rand rng{1};
+    std::array<int, 3> order{0, 1, 2};  // disabled A, disabled B, enabled
+    while (b.enabled.size() < kMinBatchRuns || a_ms < kMinBatchMs ||
+           b_ms < kMinBatchMs) {
+        std::shuffle(order.begin(), order.end(), rng);
+        for (const int arm : order) {
+            if (arm == 2) {
+                obs::SpanRecorder local;
+                b.enabled.push_back(run_model(cfg, &local));
+                keep = std::move(local);
+            } else {
+                const double ms = run_model(cfg, nullptr);
+                (arm == 0 ? b.disabled_a : b.disabled_b).push_back(ms);
+                (arm == 0 ? a_ms : b_ms) += ms;
+            }
         }
     }
-    return best;
+    return b;
 }
 
 struct GateState {
@@ -99,35 +146,24 @@ int main(int argc, char** argv) {
 
     vocoder::VocoderConfig cfg;
     cfg.frames = smoke ? 16 : 200;
-    const int reps = smoke ? 3 : 5;
 
     // Untimed warm-up: the first simulation pays one-off allocator and page
     // costs that would otherwise land entirely in batch A.
     (void)run_model(cfg, nullptr);
 
-    // ---- spans disabled: two independent batches -------------------------
-    std::fprintf(stderr, "bench_spans: disabled runs (%zu frames x %d reps x 2)...\n",
-                 cfg.frames, reps);
-    const double disabled_a = best_disabled(cfg, reps);
-    const double disabled_b = best_disabled(cfg, reps);
+    // ---- spans disabled (two batches) and enabled, interleaved ------------
+    std::fprintf(stderr,
+                 "bench_spans: timed runs (%zu frames; 2 disabled batches of >= %.0f ms "
+                 "and >= %zu runs, 1 enabled, interleaved)...\n",
+                 cfg.frames, kMinBatchMs, kMinBatchRuns);
+    obs::SpanRecorder rec;
+    const Batches batches = run_batches(cfg, rec);
+    const double disabled_a = best(batches.disabled_a);
+    const double disabled_b = best(batches.disabled_b);
     const double disabled_ms = disabled_a < disabled_b ? disabled_a : disabled_b;
     const double hi = disabled_a > disabled_b ? disabled_a : disabled_b;
     const double disabled_delta = hi / (disabled_ms > 0.0 ? disabled_ms : 1e-9);
-
-    // ---- spans enabled ---------------------------------------------------
-    std::fprintf(stderr, "bench_spans: enabled runs...\n");
-    double enabled_ms = 0.0;
-    obs::SpanRecorder rec;
-    for (int r = 0; r < reps; ++r) {
-        obs::SpanRecorder local;
-        const double ms = run_model(cfg, &local);
-        if (r == 0 || ms < enabled_ms) {
-            enabled_ms = ms;
-        }
-        if (r == reps - 1) {
-            rec = std::move(local);
-        }
-    }
+    const double enabled_ms = best(batches.enabled);
     const double overhead =
         enabled_ms / (disabled_ms > 0.0 ? disabled_ms : 1e-9);
     const double spans_per_sec =

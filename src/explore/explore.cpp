@@ -238,14 +238,18 @@ std::string describe_mutex_cycle(const std::vector<rtos::OsMutex*>& mutexes) {
 // ---- the controller ----
 
 /// Drives every SchedulePoint of one run. Forced `plan` prefix, then either
-/// the default choice (DFS/replay) or a bounded-uniform random choice.
+/// the default choice (DFS/replay) or a bounded-uniform random choice. The
+/// decisions land in a caller-owned buffer, cleared here; explore() and
+/// random_walks() pass the same buffer for every path and reuse its capacity.
 class Explorer::Controller final : public sim::ScheduleController {
 public:
     Controller(const std::vector<std::uint32_t>* plan, bool random, int bound,
                std::size_t max_choices, std::uint64_t rng_seed,
-               trace::TraceRecorder* rec)
+               trace::TraceRecorder* rec, std::vector<Decision>& decisions)
         : plan_(plan), random_(random), bound_(bound), max_choices_(max_choices),
-          rng_(rng_seed), rec_(rec) {}
+          rng_(rng_seed), rec_(rec), decisions_(decisions) {
+        decisions_.clear();
+    }
 
     std::size_t choose(const sim::SchedulePoint& pt) override {
         const auto count = static_cast<std::uint32_t>(pt.candidates.size());
@@ -276,11 +280,11 @@ public:
         }
         decisions_.push_back({choice, count});
         if (rec_ != nullptr) {
-            rec_->marker(pt.now, std::string("choice[") + sim::to_string(pt.kind) +
-                                     "] #" + std::to_string(k) + " -> " +
-                                     pt.candidates[choice] + " (" +
-                                     std::to_string(choice) + "/" +
-                                     std::to_string(count) + ")");
+            std::string text = std::string("choice[") + sim::to_string(pt.kind) + "] #" +
+                               std::to_string(k) + " -> ";
+            text += pt.candidates[choice];
+            text += " (" + std::to_string(choice) + "/" + std::to_string(count) + ")";
+            rec_->marker(pt.now, text);
         }
         return choice;
     }
@@ -307,7 +311,7 @@ private:
     std::size_t max_choices_;
     std::uint64_t rng_;
     trace::TraceRecorder* rec_;
-    std::vector<Decision> decisions_;
+    std::vector<Decision>& decisions_;
     int divergences_ = 0;
     bool truncated_ = false;
     bool diverged_ = false;
@@ -324,8 +328,10 @@ PathResult Explorer::run_path(const std::vector<std::uint32_t>* plan, bool rando
                               ExploreStats* stats,
                               std::string* divergence_detail_out) {
     Run run(cfg_.kernel);
+    std::vector<Decision> local_decisions;
     Controller ctl(plan, random, cfg_.preemption_bound, cfg_.max_choices_per_run,
-                   rng_seed, cfg_.record_choices ? &run.trace_ : nullptr);
+                   rng_seed, cfg_.record_choices ? &run.trace_ : nullptr,
+                   decisions_out != nullptr ? *decisions_out : local_decisions);
     run.kernel_.set_schedule_controller(&ctl);
     AssertScope assert_scope;
 
@@ -368,9 +374,6 @@ PathResult Explorer::run_path(const std::vector<std::uint32_t>* plan, bool rando
         if (ctl.truncated()) {
             ++stats->truncated;
         }
-    }
-    if (decisions_out != nullptr) {
-        *decisions_out = ctl.decisions();
     }
     pr.trace = std::move(run.trace_);
     return pr;
@@ -440,17 +443,17 @@ void Explorer::check_path(Run& run, PathResult& pr,
 /// into `pruned`.
 bool Explorer::next_plan(const std::vector<Decision>& d, int bound,
                          std::vector<std::uint32_t>& plan, std::uint64_t& pruned) {
-    std::vector<int> nz_before(d.size() + 1, 0);
-    for (std::size_t i = 0; i < d.size(); ++i) {
-        nz_before[i + 1] = nz_before[i] + (d[i].chosen != 0 ? 1 : 0);
-    }
+    // Non-default decisions before position i, counted down from the end.
+    auto nz_before = std::count_if(d.begin(), d.end(),
+                                   [](const Decision& x) { return x.chosen != 0; });
     for (std::size_t i = d.size(); i-- > 0;) {
+        nz_before -= d[i].chosen != 0 ? 1 : 0;
         if (d[i].chosen + 1 >= d[i].count) {
             continue;  // no alternative left at this point
         }
         // Incrementing makes d[i] non-default; it only adds a divergence if
         // the current choice was the default.
-        const int divergences = nz_before[i] + 1;
+        const auto divergences = nz_before + 1;
         if (divergences > bound) {
             pruned += d[i].count - 1 - d[i].chosen;
             continue;
@@ -502,10 +505,11 @@ ExploreResult Explorer::explore() {
 ExploreResult Explorer::random_walks(std::uint64_t n) {
     ExploreResult res;
     std::unordered_set<std::string> reported;  // dedup repeats across walks
+    std::vector<Decision> decisions;
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t stream = cfg_.seed + i;
         const std::uint64_t rng_seed = splitmix64(stream);
-        PathResult pr = run_path(nullptr, /*random=*/true, rng_seed, nullptr,
+        PathResult pr = run_path(nullptr, /*random=*/true, rng_seed, &decisions,
                                  &res.stats);
         const bool failed = !pr.violations.empty();
         for (Violation& v : pr.violations) {

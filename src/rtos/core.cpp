@@ -48,9 +48,10 @@ struct TeardownScope {
 };
 }  // namespace
 
-Task::Task(OsCore& os, TaskParams params) : os_(os), params_(std::move(params)) {
-    dispatch_evt_ = std::make_unique<sim::Event>(os.kernel(), params_.name + ".dispatch");
-}
+Task::Task(OsCore& os, TaskParams params)
+    : os_(os),
+      params_(std::move(params)),
+      dispatch_evt_(os.kernel(), params_.name + ".dispatch") {}
 
 OsCore::OsCore(sim::Kernel& kernel, RtosConfig cfg)
     : kernel_(kernel), cfg_(std::move(cfg)) {
@@ -58,6 +59,7 @@ OsCore::OsCore(sim::Kernel& kernel, RtosConfig cfg)
                "RtosConfig speed scale must be positive");
     policy_ = make_policy(cfg_.policy, cfg_.quantum);
     ready_ = policy_->make_queue();
+    choice_pt_.kind = sim::SchedulePoint::Kind::TaskDispatch;
 }
 
 OsCore::~OsCore() {
@@ -121,15 +123,6 @@ void OsCore::unbind_process(Task* t) {
     }
 }
 
-std::vector<const Task*> OsCore::tasks() const {
-    std::vector<const Task*> out;
-    out.reserve(tasks_.size());
-    for (const auto& t : tasks_) {
-        out.push_back(t.get());
-    }
-    return out;
-}
-
 SimTime OsCore::busy_time() const {
     SimTime total;
     for (const auto& t : tasks_) {
@@ -191,12 +184,11 @@ Task* OsCore::pick_next() {
     if (ties_scratch_.size() < 2) {
         return ready_->pop();
     }
-    sim::SchedulePoint pt;
-    pt.kind = sim::SchedulePoint::Kind::TaskDispatch;
+    sim::SchedulePoint& pt = choice_pt_;
     pt.now = kernel_.now();
-    pt.candidates.reserve(ties_scratch_.size());
+    pt.candidates.clear();
     for (const Task* t : ties_scratch_) {
-        pt.candidates.push_back(t->params_.name);
+        pt.candidates.emplace_back(t->params_.name);
     }
     const std::size_t choice = ctl->choose(pt);
     SLM_ASSERT(choice < ties_scratch_.size(),
@@ -222,7 +214,7 @@ void OsCore::dispatch(Task* t) {
         t->switch_cost_due_ = !cfg_.context_switch_overhead.is_zero();
         last_dispatched_ = t;
     }
-    kernel_.notify(*t->dispatch_evt_);
+    kernel_.notify(t->dispatch_evt_);
 }
 
 void OsCore::schedule() {
@@ -298,7 +290,7 @@ void OsCore::apply_switch_cost(Task* t) {
 
 void OsCore::wait_dispatch(Task* t) {
     while (running_ != t) {
-        kernel_.wait(*t->dispatch_evt_);
+        kernel_.wait(t->dispatch_evt_);
     }
     on_dispatched(t);
 }
@@ -676,7 +668,7 @@ bool OsCore::event_wait_timeout(OsEvent* e, SimTime timeout) {
             const SimTime remaining = deadline - kernel_.now();
             const bool dispatched =
                 !remaining.is_zero() &&
-                kernel_.wait_timeout(*t->dispatch_evt_, remaining);
+                kernel_.wait_timeout(t->dispatch_evt_, remaining);
             if (!dispatched && t->waiting_evt_ == e) {
                 // RTOS-level timeout: leave the event queue and contend for
                 // the CPU like any freshly readied task.
@@ -689,7 +681,7 @@ bool OsCore::event_wait_timeout(OsEvent* e, SimTime timeout) {
         } else {
             // Already readied by event_notify (or by the timeout above):
             // plain wait for the dispatcher.
-            kernel_.wait(*t->dispatch_evt_);
+            kernel_.wait(t->dispatch_evt_);
         }
     }
     apply_switch_cost(t);

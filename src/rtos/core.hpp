@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -123,7 +124,7 @@ private:
     TaskParams params_;
     TaskState state_ = TaskState::New;
     sim::Process* proc_ = nullptr;  ///< bound at task_activate time
-    std::unique_ptr<sim::Event> dispatch_evt_;
+    sim::Event dispatch_evt_;
     ReadyLink rq_link_;             ///< owned by the scheduler's ReadyQueue
 
     SimTime release_time_{};
@@ -539,7 +540,12 @@ public:
     [[nodiscard]] bool started() const { return started_; }
     /// The task bound to the calling SLDL process (nullptr if unbound).
     [[nodiscard]] Task* self() const;
-    [[nodiscard]] std::vector<const Task*> tasks() const;
+    /// Every task, in creation order, as `const Task*`: a view over the
+    /// core's own list, so iterating it copies nothing.
+    [[nodiscard]] auto tasks() const {
+        return std::views::transform(
+            tasks_, [](const std::unique_ptr<Task>& t) -> const Task* { return t.get(); });
+    }
     /// Sum of all tasks' modeled execution time (CPU busy time).
     [[nodiscard]] SimTime busy_time() const;
 
@@ -595,6 +601,7 @@ private:
     std::uint64_t arrival_counter_ = 0;
     SimTime quantum_used_{};
     std::vector<Task*> ties_scratch_;  ///< reused by pick_next()
+    sim::SchedulePoint choice_pt_;     ///< reused by pick_next()
     std::vector<OsObserver*> observers_;
     std::vector<std::pair<std::uint64_t, std::function<void(Task*)>>> cleanup_hooks_;
     std::uint64_t next_cleanup_id_ = 1;

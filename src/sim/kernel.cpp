@@ -23,18 +23,15 @@ Process* this_process() {
     return g_current_kernel != nullptr ? g_current_kernel->current() : nullptr;
 }
 
-Kernel::Kernel(KernelConfig cfg)
-    : cfg_(cfg),
-      backend_(resolve_backend(cfg.backend)),
-      stack_pool_(cfg.guard_pages) {}
+Kernel::Kernel(KernelConfig cfg) : cfg_(cfg), backend_(resolve_backend(cfg.backend)) {}
 
 Kernel::~Kernel() {
     // Stacks of processes still alive at teardown (simulation aborted early)
-    // go back to the pool so its destructor frees every mapping exactly once.
-    // Their suspended frames are abandoned without unwinding, as before.
+    // go back to the destroying thread's stack cache. Their suspended frames
+    // are abandoned without unwinding, as before.
     for (auto& p : processes_) {
         if (p->stack_) {
-            stack_pool_.release(p->stack_);
+            StackPool::release(p->stack_);
             p->stack_ = StackBlock{};
         }
     }
@@ -46,30 +43,40 @@ Process* Kernel::spawn(std::string name, std::function<void()> body) {
         new Process(*this, std::move(name), std::move(body), current_, next_id_++));
     Process* p = proc.get();
     processes_.push_back(std::move(proc));
-    // Degenerate stack_size requests (0, or below the documented floor) clamp
-    // to KernelConfig::kMinStackSize; the pool then rounds to its size class.
-    p->stack_ = stack_pool_.acquire(
-        std::max(cfg_.stack_size, KernelConfig::kMinStackSize));
+    p->stack_ = acquire_stack();
     p->ctx_.init(p->stack_.base, p->stack_.size, &Kernel::trampoline, p, backend_);
-    sync_stack_stats();
     ++stats_.processes_created;
     make_ready(p);
     return p;
 }
 
-void Kernel::recycle_stack(Process* p) {
-    if (p->stack_) {
-        stack_pool_.release(p->stack_);
-        p->stack_ = StackBlock{};
-        sync_stack_stats();
+StackBlock Kernel::acquire_stack() {
+    // Degenerate stack_size requests (0, or below the documented floor) clamp
+    // to KernelConfig::kMinStackSize; the pool then rounds to its size class.
+    const std::size_t size = std::max(cfg_.stack_size, KernelConfig::kMinStackSize);
+    const bool guarded = cfg_.guard_pages && stats_.guard_pages_disabled == 0;
+    StackPool::Acquired got = StackPool::acquire(size, guarded);
+    if (!got.block) {
+        // Graceful degradation: losing overflow detection is better than
+        // failing the spawn. Warn once, then stop trying for this kernel.
+        stats_.guard_pages_disabled = 1;
+        std::fprintf(stderr,
+                     "slm: guard-page stack allocation failed; falling back to "
+                     "unguarded stacks for this kernel\n");
+        got = StackPool::acquire(size, /*guarded=*/false);
     }
-    p->body_ = nullptr;
+    stats_.stacks_recycled += got.recycled ? 1 : 0;
+    stats_.stack_bytes_in_use += got.block.size;
+    return got.block;
 }
 
-void Kernel::sync_stack_stats() {
-    stats_.stack_bytes_in_use = stack_pool_.bytes_in_use();
-    stats_.stacks_recycled = stack_pool_.recycled();
-    stats_.guard_pages_disabled = stack_pool_.guard_pages_disabled() ? 1 : 0;
+void Kernel::recycle_stack(Process* p) {
+    if (p->stack_) {
+        stats_.stack_bytes_in_use -= p->stack_.size;
+        StackPool::release(p->stack_);
+        p->stack_ = StackBlock{};
+    }
+    p->body_ = nullptr;
 }
 
 void Kernel::make_ready(Process* p) {
@@ -97,26 +104,20 @@ void Kernel::set_state(Process* p, ProcState s) {
 void Kernel::consult_controller() {
     // Surface a DeltaOrder choice point: which of the currently runnable
     // processes executes next. candidates[0] is the FIFO front, so a
-    // controller answering 0 leaves the deterministic order untouched. Most
-    // deltas have fewer than two live candidates; counting stops at two so
-    // those cost a short scan and no allocation.
-    std::size_t live = 0;
-    for (const Process* p : runnable_) {
-        if (!p->done() && ++live == 2) {
-            break;
-        }
-    }
-    if (live < 2) {
-        return;
-    }
-    SchedulePoint pt;
-    pt.kind = SchedulePoint::Kind::DeltaOrder;
-    pt.now = now_;
+    // controller answering 0 leaves the deterministic order untouched. The
+    // point and its candidate buffer are reused, so once the buffer has grown
+    // a consult allocates nothing.
+    SchedulePoint& pt = choice_pt_;
+    pt.candidates.clear();
     for (const Process* p : runnable_) {
         if (!p->done()) {
-            pt.candidates.push_back(p->name());
+            pt.candidates.emplace_back(p->name());
         }
     }
+    if (pt.candidates.size() < 2) {
+        return;
+    }
+    pt.now = now_;
     const std::size_t choice = controller_->choose(pt);
     SLM_ASSERT(choice < pt.candidates.size(),
                "ScheduleController returned an out-of-range choice");
@@ -451,6 +452,7 @@ void Kernel::par(std::vector<Branch> branches) {
 }
 
 void Kernel::par(std::initializer_list<std::function<void()>> bodies) {
+    SLM_ASSERT(current_ != nullptr, "par() requires process context");
     std::vector<Branch> branches;
     branches.reserve(bodies.size());
     int i = 0;

@@ -38,9 +38,9 @@ struct KernelConfig {
     /// default is generous because debugging a blown coroutine stack is painful.
     std::size_t stack_size = 256 * 1024;
 
-    /// Allocate process stacks via mmap with a PROT_NONE guard page below the
-    /// usable range (debug builds): stack overflow faults immediately instead
-    /// of corrupting the heap. Costs syscalls per fresh stack allocation.
+    /// Give process stacks a PROT_NONE guard page below the usable range
+    /// (debug builds): stack overflow faults immediately instead of
+    /// corrupting memory. Costs an extra syscall per fresh stack allocation.
     bool guard_pages = false;
 
     /// Context-switch backend. Auto picks the assembly fast path when compiled
@@ -56,10 +56,10 @@ struct KernelStats {
     std::uint64_t delta_cycles = 0;
     std::uint64_t time_advances = 0;
     std::uint64_t events_notified = 0;
-    std::uint64_t stack_bytes_in_use = 0;   ///< live coroutine stack bytes (pool-acquired)
-    std::uint64_t stacks_recycled = 0;      ///< spawns served from the stack pool's free list
-    std::uint64_t guard_pages_disabled = 0; ///< 1 once guard-page setup failed and the
-                                            ///< pool fell back to unguarded stacks
+    std::uint64_t stack_bytes_in_use = 0;   ///< live coroutine stack bytes of this kernel
+    std::uint64_t stacks_recycled = 0;      ///< spawns served from the thread's stack cache
+    std::uint64_t guard_pages_disabled = 0; ///< 1 once guard-page setup failed and this
+                                            ///< kernel fell back to unguarded stacks
 };
 
 /// Observer hook for instrumentation (tracing, test assertions). All callbacks
@@ -249,13 +249,12 @@ private:
     void advance_to(SimTime t);
     void end_delta();
     void consult_controller();
+    StackBlock acquire_stack();
     void recycle_stack(Process* p);
-    void sync_stack_stats();
     static void trampoline(void* raw);  // raw = Process*; never returns
 
     KernelConfig cfg_;
     ContextBackend backend_;
-    StackPool stack_pool_;
     SimTime now_{};
     std::deque<Process*> runnable_;
     std::priority_queue<TimedEntry, std::vector<TimedEntry>, TimedLater> timed_;
@@ -271,6 +270,7 @@ private:
     Process* current_ = nullptr;
     std::vector<KernelObserver*> observers_;
     ScheduleController* controller_ = nullptr;
+    SchedulePoint choice_pt_;  ///< DeltaOrder; reused by consult_controller()
     std::optional<std::string> abort_reason_;
     bool running_ = false;
     SimTime limit_ = SimTime::max();  ///< the active run_until() bound

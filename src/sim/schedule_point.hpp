@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -31,8 +31,11 @@ struct SchedulePoint {
     Kind kind = Kind::DeltaOrder;
     SimTime now{};
     /// Candidate names, index-aligned with the controller's return value.
-    /// Always size() >= 2 — trivial decisions are never surfaced.
-    std::vector<std::string> candidates;
+    /// Always size() >= 2 — trivial decisions are never surfaced. The views
+    /// point into process and task names and are valid only inside choose():
+    /// the kernel and the RTOS model reuse one point, so a consult allocates
+    /// nothing. A controller that keeps a name copies it.
+    std::vector<std::string_view> candidates;
 };
 
 [[nodiscard]] inline const char* to_string(SchedulePoint::Kind k) {

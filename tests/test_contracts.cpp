@@ -27,6 +27,11 @@ TEST(Contracts, WaitforOutsideProcessContextAborts) {
     EXPECT_DEATH(k.waitfor(1_us), "process context");
 }
 
+TEST(Contracts, ParOutsideProcessContextAborts) {
+    Kernel k;
+    EXPECT_DEATH(k.par({[] {}}), "par\\(\\) requires process context");
+}
+
 TEST(Contracts, WaitforForeverAborts) {
     Kernel k;
     k.spawn("p", [&] { k.waitfor(SimTime::max()); });

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "sim/stack_pool.hpp"
@@ -958,6 +961,101 @@ TEST(Kernel, GuardFailureFallsBackToUnguardedStacks) {
     EXPECT_EQ(k.stats().guard_pages_disabled, 0u);
 }
 
+// ---- Per-thread stack cache ----
+
+TEST(StackCache, KernelBuiltOnOneThreadIsDestroyedOnAnother) {
+    // Live processes' stacks go back to the destroying thread's cache.
+    KernelConfig cfg;
+    cfg.stack_size = 64 * 1024;
+    std::unique_ptr<Kernel> k;
+    std::thread builder([&] {
+        k = std::make_unique<Kernel>(cfg);
+        for (int i = 0; i < 4; ++i) {
+            k->spawn("sleeper" + std::to_string(i), [&] { k->waitfor(1_s); });
+        }
+        k->spawn("done", [] {});
+        EXPECT_TRUE(k->run_until(1_us));
+        EXPECT_EQ(k->stats().stack_bytes_in_use, 4u * cfg.stack_size);
+    });
+    builder.join();
+    std::size_t returned = 0;
+    std::thread destroyer([&] {
+        const std::size_t before = StackPool::cached_bytes_for_testing(false);
+        k.reset();
+        returned = StackPool::cached_bytes_for_testing(false) - before;
+    });
+    destroyer.join();
+    EXPECT_EQ(returned, 4u * cfg.stack_size);
+}
+
+TEST(StackCache, KernelOutlivingItsThreadsCacheFreesItsStacks) {
+    // A thread_local kernel constructed before the thread's stack cache is
+    // destroyed after it at thread exit; its live stack is freed, not cached.
+    std::thread t([] {
+        thread_local Kernel k;
+        k.spawn("sleeper", [] { this_kernel().waitfor(1_s); });
+        EXPECT_TRUE(k.run_until(1_us));
+        EXPECT_GT(k.stats().stack_bytes_in_use, 0u);
+    });
+    t.join();
+}
+
+TEST(StackCache, GuardedKernelAfterPlainKernelsGetsGuardPages) {
+    std::thread t([] {  // a fresh thread starts with an empty cache
+        {
+            // More finished processes than the cache keeps: it fills with
+            // plain stacks.
+            Kernel plain;
+            const std::size_t n = StackPool::kMaxCachedBytes / KernelConfig{}.stack_size + 8;
+            for (std::size_t i = 0; i < n; ++i) {
+                plain.spawn("p", [] {});
+            }
+            plain.run();
+        }
+        ASSERT_EQ(StackPool::cached_bytes_for_testing(false), StackPool::kMaxCachedBytes);
+        KernelConfig cfg;
+        cfg.guard_pages = true;
+        {
+            Kernel guarded{cfg};
+            for (int i = 0; i < 4; ++i) {
+                guarded.spawn("g", [] {});
+            }
+            EXPECT_EQ(guarded.stats().stacks_recycled, 0u);  // no plain stack handed out
+            guarded.run();
+            EXPECT_EQ(guarded.stats().guard_pages_disabled, 0u);
+        }
+        // The guarded stacks displaced plain ones and serve the next kernel.
+        EXPECT_EQ(StackPool::cached_bytes_for_testing(true), 4u * cfg.stack_size);
+        Kernel again{cfg};
+        for (int i = 0; i < 4; ++i) {
+            again.spawn("g", [] {});
+        }
+        EXPECT_EQ(again.stats().stacks_recycled, 4u);
+        again.run();
+    });
+    t.join();
+}
+
+TEST(StackCache, CapHoldsAfterKernelWithThousandLiveProcessesDies) {
+    std::thread t([] {
+        KernelConfig cfg;
+        cfg.stack_size = 64 * 1024;
+        {
+            Kernel k{cfg};
+            for (int i = 0; i < 1000; ++i) {
+                k.spawn("sleeper", [&k] { k.waitfor(1_s); });
+            }
+            EXPECT_TRUE(k.run_until(1_us));
+            EXPECT_EQ(k.stats().stack_bytes_in_use, 1000u * cfg.stack_size);
+        }
+        // Full, and no more than full.
+        EXPECT_EQ(StackPool::cached_bytes_for_testing(false) +
+                      StackPool::cached_bytes_for_testing(true),
+                  StackPool::kMaxCachedBytes);
+    });
+    t.join();
+}
+
 // ---- Dispatch-order golden ----
 
 namespace {
@@ -987,8 +1085,9 @@ struct GoldenLog final : KernelObserver {
 struct AlternatingController final : ScheduleController {
     std::size_t choose(const SchedulePoint& pt) override {
         std::string line = std::string(to_string(pt.kind)) + " @" + pt.now.to_string() + ":";
-        for (const std::string& c : pt.candidates) {
-            line += " " + c;
+        for (std::string_view c : pt.candidates) {
+            line += ' ';
+            line += c;
         }
         const std::size_t pick = points.size() % 2 == 1 ? pt.candidates.size() - 1 : 0;
         points.push_back(line + " -> " + std::to_string(pick));
