@@ -1,8 +1,9 @@
 // Fast-context engine benchmarks. Unlike the google-benchmark binaries, this
 // one times its own loops and emits a machine-readable BENCH_kernel.json so
 // the kernel's perf trajectory (ns/switch, switches/sec, spawn throughput,
-// RTOS dispatch latency) is tracked from PR to PR, with the assembly backend
-// and the ucontext baseline measured side by side in one run.
+// RTOS dispatch latency, timed-queue wakeups) is tracked from change to
+// change, with the assembly backend and the ucontext baseline measured side
+// by side in one run.
 //
 // Usage: bench_ctx [--smoke] [--out FILE]
 //   --smoke   tiny iteration counts for CI (seconds -> milliseconds)
@@ -129,6 +130,34 @@ Measurement bm_spawn(sim::ContextBackend backend, int waves, int per_wave,
     return finish(k.stats().processes_created, ns);
 }
 
+/// Timed-queue path: `sleepers` processes that only sleep. Process i first
+/// waits i+1 ns, then `sleepers` ns each time, so every wakeup falls on its
+/// own instant and the queue holds one entry per other sleeper. A lone
+/// sleeper is next due at every step and never enters the queue. The first
+/// wakeup of each process (its first switch onto a fresh stack) is untimed.
+/// Items = wakeups (process activations).
+Measurement bm_kernel_waitfor(sim::ContextBackend backend, int sleepers, int rounds) {
+    sim::KernelConfig cfg;
+    cfg.backend = backend;
+    cfg.stack_size = sim::KernelConfig::kMinStackSize;
+    sim::Kernel k{cfg};
+    const auto period = SimTime{static_cast<std::uint64_t>(sleepers)};
+    for (int i = 0; i < sleepers; ++i) {
+        k.spawn("s", [&k, period, i] {
+            k.waitfor(SimTime{static_cast<std::uint64_t>(i) + 1});
+            for (;;) {
+                k.waitfor(period);
+            }
+        });
+    }
+    (void)k.run_until(period);
+    const std::uint64_t warm = k.stats().process_activations;
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)k.run_until(period * static_cast<std::uint64_t>(rounds + 1));
+    const double ns = elapsed_ns(t0);
+    return finish(k.stats().process_activations - warm, ns);
+}
+
 /// RTOS dispatch latency: `tasks` priority-scheduled tasks wake every delay
 /// tick and contend for the CPU, so each wake exercises ready-queue insert +
 /// pick + dispatch. Items = RTOS dispatches.
@@ -205,6 +234,11 @@ int main(int argc, char** argv) {
     const int per_wave = smoke ? 50 : 500;
     const int rtos_tasks = 64;
     const int rtos_cycles = smoke ? 20 : 1'000;
+    // (sleepers, rounds) for BM_KernelWaitfor/<sleepers>: a lone sleeper, 64
+    // staggered ones, and 100k (10k in smoke mode, to stay light in CI).
+    const int waitfor_cases[3][2] = {{1, smoke ? 20'000 : 2'000'000},
+                                     {64, smoke ? 300 : 30'000},
+                                     {smoke ? 10'000 : 100'000, smoke ? 2 : 10}};
 
     std::vector<sim::ContextBackend> backends;
     if (sim::fast_context_compiled()) {
@@ -213,7 +247,7 @@ int main(int argc, char** argv) {
     backends.push_back(sim::ContextBackend::Ucontext);
 
     std::vector<std::pair<std::string, Measurement>> ctx, yield_rows, spawn,
-        rtos_rows;
+        rtos_rows, waitfor_rows[3];
     std::uint64_t recycled = 0;
     double hit_rate = 0.0;
     for (const auto b : backends) {
@@ -223,6 +257,10 @@ int main(int argc, char** argv) {
         yield_rows.emplace_back(name, bm_kernel_yield(b, yields));
         spawn.emplace_back(name, bm_spawn(b, waves, per_wave, &recycled, &hit_rate));
         rtos_rows.emplace_back(name, bm_rtos_dispatch(b, rtos_tasks, rtos_cycles));
+        for (int c = 0; c < 3; ++c) {
+            waitfor_rows[c].emplace_back(
+                name, bm_kernel_waitfor(b, waitfor_cases[c][0], waitfor_cases[c][1]));
+        }
     }
 
     std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -246,6 +284,11 @@ int main(int argc, char** argv) {
     emit(f, "BM_KernelSpawn", "spawn", spawn, pool_extra);
     std::fprintf(f, ",\n");
     emit(f, "BM_RtosDispatch", "dispatch", rtos_rows);
+    for (int c = 0; c < 3; ++c) {
+        const std::string name = "BM_KernelWaitfor/" + std::to_string(waitfor_cases[c][0]);
+        std::fprintf(f, ",\n");
+        emit(f, name.c_str(), "wakeup", waitfor_rows[c]);
+    }
     std::fprintf(f, "\n  }\n}\n");
     std::fclose(f);
 
@@ -255,7 +298,10 @@ int main(int argc, char** argv) {
               "context switch", ctx},
           {"kernel yield", yield_rows},
           {"spawn", spawn},
-          {"rtos dispatch", rtos_rows}}) {
+          {"rtos dispatch", rtos_rows},
+          {"waitfor 1", waitfor_rows[0]},
+          {"waitfor 64", waitfor_rows[1]},
+          {"waitfor many", waitfor_rows[2]}}) {
         for (const auto& [backend, m] : rows) {
             std::printf("%-16s %-9s %10.1f ns/item %14.0f items/s\n", name,
                         backend.c_str(), m.ns_per_item, m.items_per_sec);

@@ -366,7 +366,7 @@ void register_kernel_stats(Registry& reg, const sim::Kernel& kernel, Labels base
       [](const sim::Kernel& kn) { return double(kn.stats().process_activations); });
     g("slm_kernel_delta_cycles", "delta cycles executed",
       [](const sim::Kernel& kn) { return double(kn.stats().delta_cycles); });
-    g("slm_kernel_time_advances", "timed-wheel advances",
+    g("slm_kernel_time_advances", "time-advance steps (waitfor(0)'s same-instant step included)",
       [](const sim::Kernel& kn) { return double(kn.stats().time_advances); });
     g("slm_kernel_events_notified", "event notifications delivered",
       [](const sim::Kernel& kn) { return double(kn.stats().events_notified); });

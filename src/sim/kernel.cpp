@@ -79,6 +79,33 @@ void Kernel::recycle_stack(Process* p) {
     p->body_ = nullptr;
 }
 
+void Kernel::RunQueue::push_back(Process* p) {
+    p->next_runnable_ = nullptr;
+    (head == nullptr ? head : tail->next_runnable_) = p;
+    tail = p;
+}
+
+Process* Kernel::RunQueue::pop_front() {
+    Process* p = head;
+    head = p->next_runnable_;
+    if (head == nullptr) {
+        tail = nullptr;
+    }
+    return p;
+}
+
+void Kernel::RunQueue::move_to_front(Process* prev, Process* p) {
+    if (prev == nullptr) {
+        return;
+    }
+    prev->next_runnable_ = p->next_runnable_;
+    if (tail == p) {
+        tail = prev;
+    }
+    p->next_runnable_ = head;
+    head = p;
+}
+
 void Kernel::make_ready(Process* p) {
     if (p->done()) {
         return;
@@ -109,7 +136,7 @@ void Kernel::consult_controller() {
     // a consult allocates nothing.
     SchedulePoint& pt = choice_pt_;
     pt.candidates.clear();
-    for (const Process* p : runnable_) {
+    for (const Process* p = runnable_.head; p != nullptr; p = p->next_runnable_) {
         if (!p->done()) {
             pt.candidates.emplace_back(p->name());
         }
@@ -125,29 +152,64 @@ void Kernel::consult_controller() {
         return;
     }
     std::size_t seen = 0;
-    for (auto it = runnable_.begin(); it != runnable_.end(); ++it) {
-        if (!(*it)->done() && seen++ == choice) {
-            Process* chosen = *it;
-            runnable_.erase(it);
-            runnable_.push_front(chosen);
+    for (Process *prev = nullptr, *p = runnable_.head; p != nullptr;
+         prev = p, p = p->next_runnable_) {
+        if (!p->done() && seen++ == choice) {
+            runnable_.move_to_front(prev, p);
             return;
         }
     }
 }
 
-Process* Kernel::dispatch_step(bool from_process) {
+void Kernel::end_delta() {
+    if (!notified_events_.empty()) {
+        deliver_notifications();
+    }
+    ++stats_.delta_cycles;
+}
+
+void Kernel::deliver_notifications() {
+    // Deliver notifications at the delta boundary (SpecC semantics): every
+    // process waiting on a notified event at this point wakes, including
+    // processes whose wait() ran later in the delta than the notify().
+    for (Event* e : notified_events_) {
+        e->notified_ = false;
+        for (Process* w : e->waiters_) {
+            w->waiting_on_ = nullptr;
+            disarm_wakeup(w);  // the event beat a wait_timeout() deadline
+            make_ready(w);
+        }
+        e->waiters_.clear();
+    }
+    notified_events_.clear();
+}
+
+Process* Kernel::dispatch_step(Process* self) {
     // The dispatch loop, one step: drain the runnable queue, close the delta,
     // advance time, until a process is due. run_until() drives it from the
     // scheduler context and a blocking process from its own stack (see
     // block_current_and_reschedule); nullptr tells either caller to stop.
+    //
+    // A blocking process's armed wakeup stays in hand: it enters the timed
+    // queue only if something must run first (a runnable process, one that
+    // a notification wakes at delta end, an entry at an earlier or the same
+    // instant, the run_until bound). Otherwise time advances straight to it,
+    // through the same delta close, advance_to and make_ready as a queued
+    // wakeup.
+    TimedEntry* held = self != nullptr && self->wake_.pos == TimedEntry::kHeld
+                           ? &self->wake_
+                           : nullptr;
     for (;;) {
         if (!delta_closed_) {
+            if (held != nullptr && !runnable_.empty()) {
+                timed_.push(*held);
+                held = nullptr;
+            }
             while (!runnable_.empty()) {
-                if (controller_ != nullptr) {
-                    consult_controller();
+                if (controller_ != nullptr && runnable_.head != runnable_.tail) {
+                    consult_controller();  // a choice needs two candidates
                 }
-                Process* p = runnable_.front();
-                runnable_.pop_front();
+                Process* p = runnable_.pop_front();
                 p->in_runnable_ = false;
                 if (!p->done()) {
                     return p;
@@ -155,31 +217,44 @@ Process* Kernel::dispatch_step(bool from_process) {
             }
             end_delta();
             if (!runnable_.empty()) {
-                continue;  // a notification at delta end made processes runnable
+                // A notification at delta end made processes runnable. If it
+                // woke `self` out of a wait_timeout(), its wakeup is gone.
+                if (held != nullptr && held->pos == TimedEntry::kHeld) {
+                    timed_.push(*held);
+                }
+                held = nullptr;
+                continue;
             }
             delta_closed_ = true;
         }
-        skim_stale_entries();
-        if (timed_.empty() && timer_q_.empty()) {
+        if (held != nullptr) {
+            const bool first = timed_.empty() || held->t < timed_.top().t;
+            if (first && held->t <= limit_) {
+                advance_to(held->t);
+                delta_closed_ = false;
+                held = nullptr;
+                if (self->wake_.pos == TimedEntry::kHeld) {  // not killed meanwhile
+                    fire_wakeup(self);
+                }
+                continue;
+            }
+            timed_.push(*held);
+            held = nullptr;
+        }
+        if (timed_.empty()) {
             return nullptr;
         }
-        SimTime next = SimTime::max();
-        if (!timed_.empty()) {
-            next = timed_.top().t;
-        }
-        const bool timer_due = !timer_q_.empty() && timer_q_.top().t <= next;
-        if (timer_due) {
-            next = timer_q_.top().t;
-        }
-        if (next > limit_) {
+        const TimedEntry& next = timed_.top();
+        if (next.t > limit_) {
             return nullptr;
         }
-        if (from_process && timer_due) {
-            // Timer callbacks run on the thread stack with no current
-            // process: leave this instant to the scheduler context.
+        if (self != nullptr && next.proc == nullptr) {
+            // A post_at timer is due first. Timer callbacks run on the thread
+            // stack with no current process: leave this instant to the
+            // scheduler context.
             return nullptr;
         }
-        advance_to(next);
+        advance_to(next.t);
         delta_closed_ = false;
     }
 }
@@ -195,99 +270,117 @@ void Kernel::switch_context(Context& from, Context& to, bool finishing) {
     Context::switch_to(from, to, backend_, finishing);
 }
 
-void Kernel::end_delta() {
-    // Deliver notifications at the delta boundary (SpecC semantics): every
-    // process waiting on a notified event at this point wakes, including
-    // processes whose wait() ran later in the delta than the notify().
-    for (Event* e : notified_events_) {
-        e->notified_ = false;
-        for (Process* w : e->waiters_) {
-            w->waiting_on_ = nullptr;
-            ++w->wake_token_;  // cancel a pending wait_timeout() deadline
-            make_ready(w);
-        }
-        e->waiters_.clear();
-    }
-    notified_events_.clear();
-    ++stats_.delta_cycles;
-}
-
-bool Kernel::timed_live(const TimedEntry& e) {
-    // A timed entry is live for a process sleeping in waitfor() and for a
-    // process whose wait_timeout() deadline is still armed.
-    return e.token == e.p->wake_token_ &&
-           (e.p->state_ == ProcState::WaitingTime || e.p->state_ == ProcState::WaitingEvent);
-}
-
-void Kernel::skim_stale_entries() {
-    // A cancelled timer or a superseded process wakeup must neither drag
-    // simulated time forward nor count as pending activity.
-    while (!timed_.empty() && !timed_live(timed_.top())) {
-        timed_.pop();
-    }
-    while (!timer_q_.empty() &&
-           timer_fns_.find(timer_q_.top().id) == timer_fns_.end()) {
-        timer_q_.pop();
-    }
-}
-
-bool Kernel::activity_pending() {
-    skim_stale_entries();
-    return !timed_.empty() || !timer_q_.empty();
-}
-
 void Kernel::advance_to(SimTime t) {
     now_ = t;
     ++stats_.time_advances;
     for (KernelObserver* obs : observers_) {
         obs->on_time_advance(now_);
     }
+    if (!timed_.empty() && timed_.top().t == now_) {
+        fire_due_entries();
+    }
+}
+
+void Kernel::fire_due_entries() {
     // One-shot timers fire before process wakeups at the same instant: they
     // model OS/interrupt machinery reacting ahead of application code. The
-    // loop re-reads the top so a callback posting for the same instant still
-    // runs within it.
-    while (!timer_q_.empty() && timer_q_.top().t == now_) {
-        const TimerEntry e = timer_q_.top();
-        timer_q_.pop();
-        auto it = timer_fns_.find(e.id);
-        if (it == timer_fns_.end()) {
-            continue;  // cancelled after the skim (by an earlier callback)
-        }
-        const std::function<void()> fn = std::move(it->second);
-        timer_fns_.erase(it);
-        fn();
-    }
+    // queue orders them first, so a callback posting for the same instant
+    // still runs within it. A timer an observer posts for this instant once
+    // wakeups have begun is set aside (held) and fires at the next advance.
+    bool woke = false;
+    std::vector<TimedEntry*> late;
     while (!timed_.empty() && timed_.top().t == now_) {
-        const TimedEntry e = timed_.top();
-        timed_.pop();
-        if (!timed_live(e)) {
-            continue;
+        TimedEntry& e = timed_.top();
+        timed_.erase(e);
+        if (e.proc != nullptr) {
+            fire_wakeup(e.proc);
+            woke = true;
+        } else if (woke) {
+            e.pos = TimedEntry::kHeld;
+            late.push_back(&e);
+        } else {
+            const std::function<void()> fn = release_timer(*timers_[e.timer_slot]);
+            fn();
         }
-        if (e.p->state_ == ProcState::WaitingEvent) {
-            // wait_timeout() expired: leave the event's waiter list and
-            // resume with the timeout flag set.
-            if (e.p->waiting_on_ != nullptr) {
-                std::erase(e.p->waiting_on_->waiters_, e.p);
-                e.p->waiting_on_ = nullptr;
-            }
-            e.p->timed_out_ = true;
-        }
-        make_ready(e.p);
     }
+    for (TimedEntry* e : late) {
+        if (e->pos == TimedEntry::kHeld) {  // not cancelled meanwhile
+            timed_.push(*e);
+        }
+    }
+}
+
+void Kernel::arm_wakeup(Process* p, SimTime t) {
+    p->wake_.t = t;
+    p->wake_.order = TimedEntry::kWakeupBit | seq_counter_++;
+    p->wake_.pos = TimedEntry::kHeld;
+}
+
+void Kernel::disarm_wakeup(Process* p) {
+    if (p->wake_.queued()) {
+        timed_.erase(p->wake_);
+    }
+    p->wake_.pos = TimedEntry::kIdle;
+}
+
+void Kernel::fire_wakeup(Process* p) {
+    p->wake_.pos = TimedEntry::kIdle;
+    if (p->state_ == ProcState::WaitingEvent) {
+        // wait_timeout() expired: leave the event's waiter list and resume
+        // with the timeout flag set.
+        if (p->waiting_on_ != nullptr) {
+            std::erase(p->waiting_on_->waiters_, p);
+            p->waiting_on_ = nullptr;
+        }
+        p->timed_out_ = true;
+    }
+    make_ready(p);
+}
+
+const Kernel::Timer* Kernel::live_timer(TimerId id) const {
+    const std::uint64_t slot = (id & 0xffffffffu) - 1;
+    if (slot >= timers_.size()) {
+        return nullptr;
+    }
+    const Timer& tm = *timers_[slot];
+    return tm.generation == (id >> 32) && tm.entry.armed() ? &tm : nullptr;
+}
+
+std::function<void()> Kernel::release_timer(Timer& tm) {
+    std::function<void()> fn = std::move(tm.fn);
+    tm.fn = nullptr;
+    ++tm.generation;
+    free_timers_.push_back(tm.entry.timer_slot);
+    return fn;
 }
 
 Kernel::TimerId Kernel::post_at(SimTime t, std::function<void()> fn) {
     SLM_ASSERT(fn != nullptr, "post_at() requires a callback");
     SLM_ASSERT(t >= now_, "post_at() cannot schedule into the past");
     SLM_ASSERT(t != SimTime::max(), "post_at(SimTime::max()) would never fire");
-    const TimerId id = next_timer_id_++;
-    timer_fns_.emplace(id, std::move(fn));
-    timer_q_.push(TimerEntry{t, seq_counter_++, id});
-    return id;
+    if (free_timers_.empty()) {
+        free_timers_.push_back(static_cast<std::uint32_t>(timers_.size()));
+        timers_.push_back(std::make_unique<Timer>());
+        timers_.back()->entry.timer_slot = free_timers_.back();
+    }
+    Timer& tm = *timers_[free_timers_.back()];
+    free_timers_.pop_back();
+    tm.fn = std::move(fn);
+    tm.entry.t = t;
+    tm.entry.order = seq_counter_++;
+    timed_.push(tm.entry);
+    return (TimerId{tm.generation} << 32) | (tm.entry.timer_slot + 1);
 }
 
 void Kernel::cancel_timer(TimerId id) {
-    timer_fns_.erase(id);
+    if (const Timer* live = live_timer(id)) {
+        Timer& tm = *timers_[live->entry.timer_slot];
+        if (tm.entry.queued()) {
+            timed_.erase(tm.entry);
+        }
+        tm.entry.pos = TimedEntry::kIdle;
+        (void)release_timer(tm);  // the callback and its captures die here
+    }
 }
 
 void Kernel::run() {
@@ -314,7 +407,7 @@ bool Kernel::run_until(SimTime t_end) {
     limit_ = t_end;
     delta_closed_ = false;
 
-    while (Process* p = dispatch_step(/*from_process=*/false)) {
+    while (Process* p = dispatch_step(nullptr)) {
         activate(p);
         switch_context(sched_ctx_, p->ctx_);
         // Processes hand the CPU to each other directly, so the one switching
@@ -363,11 +456,13 @@ void Kernel::block_current_and_reschedule() {
     Process* next = nullptr;
     if (!abort_reason_.has_value()) {
         try {
-            next = dispatch_step(/*from_process=*/true);
+            next = dispatch_step(self);
         } catch (...) {
             current_ = self;  // an observer or controller threw: unwind `self`
             throw;
         }
+    } else if (self->wake_.pos == TimedEntry::kHeld) {
+        timed_.push(self->wake_);  // still pending activity for run_until()
     }
     if (next == self) {
         activate(self);
@@ -399,7 +494,7 @@ bool Kernel::wait_timeout(Event& e, SimTime dt) {
     set_state(self, ProcState::WaitingEvent);
     self->waiting_on_ = &e;
     e.waiters_.push_back(self);
-    timed_.push(TimedEntry{now_ + dt, seq_counter_++, self, ++self->wake_token_});
+    arm_wakeup(self, now_ + dt);
     block_current_and_reschedule();
     check_killed();
     return !self->timed_out_;
@@ -411,7 +506,7 @@ void Kernel::waitfor(SimTime dt) {
     check_killed();
     Process* self = current_;
     set_state(self, ProcState::WaitingTime);
-    timed_.push(TimedEntry{now_ + dt, seq_counter_++, self, ++self->wake_token_});
+    arm_wakeup(self, now_ + dt);
     block_current_and_reschedule();
     check_killed();
 }
@@ -491,10 +586,11 @@ void Kernel::kill(Process& p) {
                 std::erase(p.waiting_on_->waiters_, &p);
                 p.waiting_on_ = nullptr;
             }
+            disarm_wakeup(&p);  // a wait_timeout() deadline
             make_ready(&p);
             break;
         case ProcState::WaitingTime:
-            ++p.wake_token_;  // invalidate the pending timed-queue entry
+            disarm_wakeup(&p);
             make_ready(&p);
             break;
         case ProcState::Joining:
@@ -514,6 +610,7 @@ void Kernel::kill(Process& p) {
 
 void Kernel::finish_current(ProcState final_state) {
     Process* p = current_;
+    disarm_wakeup(p);  // unwound by an exception while its wakeup was armed
     set_state(p, final_state);
     if (p->done_evt_) {
         notify(*p->done_evt_);
@@ -583,7 +680,9 @@ Process::Process(Kernel& kernel, std::string name, std::function<void()> body,
       name_(std::move(name)),
       body_(std::move(body)),
       parent_(parent),
-      id_(id) {}
+      id_(id) {
+    wake_.proc = this;
+}
 
 // ---- Event ----
 

@@ -1,13 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -15,6 +12,7 @@
 #include "sim/process.hpp"
 #include "sim/schedule_point.hpp"
 #include "sim/time.hpp"
+#include "sim/timed_queue.hpp"
 
 namespace slm::sim {
 
@@ -54,7 +52,8 @@ struct KernelStats {
     std::uint64_t process_activations = 0;  ///< process dispatches, inline or switched
     std::uint64_t host_switches = 0;        ///< machine-context switches performed
     std::uint64_t delta_cycles = 0;
-    std::uint64_t time_advances = 0;
+    std::uint64_t time_advances = 0;        ///< advance_to steps, waitfor(0)'s same-instant
+                                            ///< step included
     std::uint64_t events_notified = 0;
     std::uint64_t stack_bytes_in_use = 0;   ///< live coroutine stack bytes of this kernel
     std::uint64_t stacks_recycled = 0;      ///< spawns served from the thread's stack cache
@@ -176,7 +175,9 @@ public:
 
     // ---- callable from anywhere ----
 
-    /// Handle for a one-shot timer posted with post_at(). Never 0.
+    /// Handle for a one-shot timer posted with post_at(). Never 0. Timer
+    /// slots are reused, but an id names one posting only: once that timer
+    /// fired or was cancelled, the id never matches a later timer.
     using TimerId = std::uint64_t;
 
     /// Schedule `fn` to run once, at simulated instant `t` (>= now()). The
@@ -187,14 +188,13 @@ public:
     TimerId post_at(SimTime t, std::function<void()> fn);
 
     /// Cancel a pending timer. Safe to call with an id that already fired or
-    /// was already cancelled (no-op). A cancelled timer does not hold the
-    /// simulation alive and its instant is never visited on its behalf.
+    /// was already cancelled (no-op). A cancelled timer leaves the timed
+    /// queue at once, its callback (and what it captured) is destroyed here,
+    /// and its instant is never visited on its behalf.
     void cancel_timer(TimerId id);
 
     /// True while `id` is posted and has neither fired nor been cancelled.
-    [[nodiscard]] bool timer_pending(TimerId id) const {
-        return timer_fns_.find(id) != timer_fns_.end();
-    }
+    [[nodiscard]] bool timer_pending(TimerId id) const { return live_timer(id) != nullptr; }
 
     /// Notify an event: wake current waiters, sticky for the rest of the delta.
     void notify(Event& e);
@@ -208,27 +208,23 @@ private:
     friend class Event;
     friend class Process;  // Process::prepare_context targets the trampoline
 
-    struct TimedEntry {
-        SimTime t;
-        std::uint64_t seq;  // tie-break: FIFO among equal timestamps
-        Process* p;
-        std::uint64_t token;
-    };
-    struct TimedLater {
-        bool operator()(const TimedEntry& a, const TimedEntry& b) const {
-            return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-        }
+    /// A post_at timer in a reusable slot; `generation` changes whenever the
+    /// slot is released, so a TimerId from an earlier posting never matches.
+    struct Timer {
+        TimedEntry entry;
+        std::function<void()> fn;
+        std::uint32_t generation = 0;
     };
 
-    struct TimerEntry {
-        SimTime t;
-        std::uint64_t seq;  // tie-break: FIFO among equal timestamps
-        TimerId id;
-    };
-    struct TimerLater {
-        bool operator()(const TimerEntry& a, const TimerEntry& b) const {
-            return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-        }
+    /// Runnable processes in FIFO order, threaded through Process::next_runnable_.
+    struct RunQueue {
+        Process* head = nullptr;
+        Process* tail = nullptr;
+        [[nodiscard]] bool empty() const { return head == nullptr; }
+        void push_back(Process* p);
+        Process* pop_front();
+        /// Move `p`, which follows `prev` (null: `p` is the head), to the front.
+        void move_to_front(Process* prev, Process* p);
     };
 
     void make_ready(Process* p);
@@ -237,17 +233,31 @@ private:
     void check_killed();
     void finish_current(ProcState final_state);  // called from trampoline; no return
     /// One step of the dispatch loop (drain, end_delta, advance time): the
-    /// next process to dispatch, or nullptr when the caller must stop. A
-    /// process calling it also stops at an instant with a due post_at timer.
-    Process* dispatch_step(bool from_process);
+    /// next process to dispatch, or nullptr when the caller must stop. `self`
+    /// is the blocking process running the step on its own stack (null in the
+    /// scheduler context); the step then also stops at an instant with a due
+    /// post_at timer, and holds self's armed wakeup out of the timed queue
+    /// unless something must run before it.
+    Process* dispatch_step(Process* self);
     void activate(Process* p);
     /// Every machine-context switch goes through here (KernelStats::host_switches).
     void switch_context(Context& from, Context& to, bool finishing = false);
-    static bool timed_live(const TimedEntry& e);
-    void skim_stale_entries();
-    bool activity_pending();
+    [[nodiscard]] bool activity_pending() const { return !timed_.empty(); }
     void advance_to(SimTime t);
+    /// Fire the timers, then make ready the processes, due at now_.
+    void fire_due_entries();
+    /// Arm the current process's wakeup for `t`; it stays in hand (kHeld)
+    /// until the dispatch step queues or fires it.
+    void arm_wakeup(Process* p, SimTime t);
+    /// Drop `p`'s armed wakeup, queued or held (no-op when idle).
+    void disarm_wakeup(Process* p);
+    /// `p`'s wakeup is due: a wait_timeout() expires, and `p` becomes ready.
+    void fire_wakeup(Process* p);
+    [[nodiscard]] const Timer* live_timer(TimerId id) const;
+    /// Free `tm`'s slot for reuse and hand back its callback.
+    std::function<void()> release_timer(Timer& tm);
     void end_delta();
+    void deliver_notifications();
     void consult_controller();
     StackBlock acquire_stack();
     void recycle_stack(Process* p);
@@ -256,14 +266,11 @@ private:
     KernelConfig cfg_;
     ContextBackend backend_;
     SimTime now_{};
-    std::deque<Process*> runnable_;
-    std::priority_queue<TimedEntry, std::vector<TimedEntry>, TimedLater> timed_;
-    // One-shot timers: the queue orders instants, the map is the liveness
-    // source of truth (cancel_timer erases the map entry; stale queue entries
-    // are skimmed without advancing time).
-    std::priority_queue<TimerEntry, std::vector<TimerEntry>, TimerLater> timer_q_;
-    std::unordered_map<TimerId, std::function<void()>> timer_fns_;
-    TimerId next_timer_id_ = 1;
+    RunQueue runnable_;
+    /// Process wakeups and post_at timers, ordered (t, timers first, seq).
+    TimedQueue timed_;
+    std::vector<std::unique_ptr<Timer>> timers_;  ///< slots; stable addresses
+    std::vector<std::uint32_t> free_timers_;      ///< released slot indices
     std::vector<std::unique_ptr<Process>> processes_;
     std::vector<Event*> notified_events_;
     Context sched_ctx_;

@@ -7,6 +7,7 @@
 
 #include "sim/context.hpp"
 #include "sim/stack_pool.hpp"
+#include "sim/timed_queue.hpp"
 
 namespace slm::sim {
 
@@ -74,7 +75,8 @@ private:
     StackBlock stack_;
 
     Event* waiting_on_ = nullptr;           ///< valid while state_ == WaitingEvent
-    std::uint64_t wake_token_ = 0;          ///< invalidates stale timed-queue entries
+    TimedEntry wake_;                       ///< waitfor()/wait_timeout() wakeup
+    Process* next_runnable_ = nullptr;      ///< link in the kernel's runnable FIFO
     int join_pending_ = 0;                  ///< outstanding children while Joining
     bool kill_pending_ = false;
     bool in_runnable_ = false;              ///< guards against double-enqueue

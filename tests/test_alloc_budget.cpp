@@ -1,7 +1,8 @@
 // Allocation budgets for short runs rebuilt from t=0: a warm thread serves
-// process stacks from its stack cache, a consulted choice point reuses its
-// candidate buffer, and one explored path of a small RtosModel stays within a
-// fixed number of heap allocations and bytes.
+// process stacks from its stack cache, a warm kernel dispatches and advances
+// time without allocating, a consulted choice point reuses its candidate
+// buffer, and one explored path of a small RtosModel stays within a fixed
+// number of heap allocations and bytes.
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,26 @@ TEST(AllocBudget, WarmThreadServesEverySpawnFromTheStackCache) {
     EXPECT_EQ(k.stats().stacks_recycled, k.stats().processes_created);
 }
 
+TEST(AllocBudget, WarmDispatchAndTimedQueueAllocateNothing) {
+    // Sleepers sharing instants, a yielder cycling through the runnable
+    // queue, and a timer re-posted and cancelled every step: once warm, the
+    // intrusive runnable FIFO, the timed queue and the reused timer slots
+    // allocate nothing however many dispatches follow.
+    sim::Kernel k;
+    spawn_sleepers(k);
+    k.spawn("yielder", [&k] {
+        for (;;) {
+            k.yield();
+            k.cancel_timer(k.post_at(k.now() + 1_us, [] {}));
+            k.waitfor(1_us);
+        }
+    });
+    (void)k.run_until(10_us);
+    const std::uint64_t warm = k.stats().process_activations;
+    EXPECT_EQ(allocations_until(k, 1_ms), 0u);
+    EXPECT_GT(k.stats().process_activations - warm, 3000u);
+}
+
 TEST(AllocBudget, WarmDeltaOrderChoicePointAllocatesNothing) {
     // The same run with and without a controller, measured after both have
     // warmed up: the consults make the only difference, and it is zero.
@@ -191,8 +212,8 @@ TEST(AllocBudget, ExploredPathOfIndependentModelStaysInBudget) {
     const double bytes_per_path = static_cast<double>(g_bytes - bytes0) / paths;
     ASSERT_EQ(res.stats.paths, warm.stats.paths);
     ASSERT_TRUE(res.violations.empty());
-    EXPECT_LE(allocs_per_path, 64.0);
-    EXPECT_LE(bytes_per_path, 32.0 * 1024);
+    EXPECT_LE(allocs_per_path, 55.0);
+    EXPECT_LE(bytes_per_path, 12.0 * 1024);
     std::printf("paths %llu, %.2f allocations and %.0f bytes per path\n",
                 static_cast<unsigned long long>(res.stats.paths), allocs_per_path,
                 bytes_per_path);

@@ -753,10 +753,20 @@ TEST(Kernel, CancelTimerPreventsFiring) {
 }
 
 TEST(Kernel, TimerPendingClearsAfterFiring) {
+    // Pending until it fires: already false inside its own callback and for
+    // a process waking at the same instant.
     Kernel k;
-    const Kernel::TimerId id = k.post_at(5_us, [] {});
-    k.spawn("p", [&] { k.waitfor(10_us); });
+    std::vector<bool> pending;
+    Kernel::TimerId id = 0;
+    id = k.post_at(5_us, [&] { pending.push_back(k.timer_pending(id)); });
+    k.spawn("p", [&] {
+        pending.push_back(k.timer_pending(id));
+        k.waitfor(5_us);
+        pending.push_back(k.timer_pending(id));
+        k.waitfor(5_us);
+    });
     k.run();
+    EXPECT_EQ(pending, (std::vector<bool>{true, false, false}));
     EXPECT_FALSE(k.timer_pending(id));
     k.cancel_timer(id);  // cancelling a fired timer is a harmless no-op
 }
@@ -934,6 +944,259 @@ TEST(Kernel, AbortThrownInsideProcessDrivenDispatchUnwindsThatProcess) {
     EXPECT_EQ(k.abort_reason().value_or(""), "observer");
     EXPECT_TRUE(unwound);
     EXPECT_EQ(k.now(), 3_us);
+}
+
+// ---- The wakeup stays in hand (run under both context backends) ----
+
+class InHandWakeup : public ::testing::TestWithParam<ContextBackend> {
+protected:
+    KernelConfig cfg() const {
+        KernelConfig c;
+        c.backend = GetParam();
+        return c;
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, InHandWakeup,
+                         ::testing::Values(ContextBackend::Fast, ContextBackend::Ucontext),
+                         [](const ::testing::TestParamInfo<ContextBackend>& info) {
+                             return std::string(to_string(info.param));
+                         });
+
+TEST_P(InHandWakeup, SameInstantTimerFiresFirst) {
+    // The lone sleeper's wakeup and a timer posted for the same instant: the
+    // timer wins, so the wakeup is queued behind it instead of held.
+    Kernel k{cfg()};
+    std::vector<std::string> log;
+    k.spawn("p", [&] {
+        k.post_at(k.now() + 10_us, [&] { log.push_back("timer at " + k.now().to_string()); });
+        k.waitfor(10_us);
+        log.push_back("process at " + k.now().to_string());
+    });
+    k.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"timer at 10 us", "process at 10 us"}));
+    EXPECT_EQ(k.stats().time_advances, 1u);
+}
+
+TEST_P(InHandWakeup, TwoSleepersDueTogetherRaiseOneDeltaOrderPoint) {
+    // The second sleeper to block is due at the same instant as the first:
+    // both wake in one advance and the controller chooses between them once.
+    struct Recorder final : ScheduleController {
+        std::size_t choose(const SchedulePoint& pt) override {
+            if (pt.now == 5_us) {
+                sizes.push_back(pt.candidates.size());
+            }
+            return 0;
+        }
+        std::vector<std::size_t> sizes;
+    } rec;
+    Kernel k{cfg()};
+    k.set_schedule_controller(&rec);
+    std::vector<std::string> order;
+    for (const char* name : {"a", "b"}) {
+        k.spawn(name, [&k, &order, name] {
+            k.waitfor(5_us);
+            order.emplace_back(name);
+        });
+    }
+    k.run();
+    EXPECT_EQ(rec.sizes, (std::vector<std::size_t>{2}));
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(k.stats().time_advances, 1u);
+}
+
+TEST_P(InHandWakeup, RunUntilStoppingShortLeavesSleeperPendingAndResumable) {
+    Kernel k{cfg()};
+    std::vector<SimTime> woke;
+    Process* p = k.spawn("p", [&] {
+        k.waitfor(10_us);
+        woke.push_back(k.now());
+        k.waitfor(10_us);
+        woke.push_back(k.now());
+    });
+    EXPECT_TRUE(k.run_until(5_us));
+    EXPECT_EQ(k.now(), 5_us);
+    EXPECT_EQ(p->state(), ProcState::WaitingTime);
+    EXPECT_TRUE(woke.empty());
+    EXPECT_TRUE(k.run_until(15_us));
+    EXPECT_EQ(woke, (std::vector<SimTime>{10_us}));
+    EXPECT_EQ(k.now(), 15_us);
+    EXPECT_FALSE(k.run_until(100_us));
+    EXPECT_EQ(woke, (std::vector<SimTime>{10_us, 20_us}));
+    EXPECT_TRUE(p->done());
+}
+
+TEST_P(InHandWakeup, KilledSleeperAndBeatenDeadlineLeaveNoActivity) {
+    // Neither the killed sleeper's wakeup nor the deadline its notify beat
+    // keeps run() alive or drags now() to their instants.
+    for (const bool bounded : {false, true}) {
+        Kernel k{cfg()};
+        Event e{k, "e"};
+        bool got = false;
+        Process* sleeper = k.spawn("sleeper", [&] { k.waitfor(100_us); });
+        k.spawn("waiter", [&] { got = k.wait_timeout(e, 50_us); });
+        k.spawn("driver", [&] {
+            k.waitfor(1_us);
+            k.notify(e);
+            k.kill(*sleeper);
+            k.waitfor(1_us);
+        });
+        if (bounded) {
+            EXPECT_FALSE(k.run_until(200_us));
+            EXPECT_EQ(k.now(), 200_us);
+        } else {
+            k.run();
+            EXPECT_EQ(k.now(), 2_us);
+        }
+        EXPECT_TRUE(got);
+        EXPECT_EQ(sleeper->state(), ProcState::Killed);
+        EXPECT_EQ(k.stats().time_advances, 2u);
+    }
+}
+
+TEST_P(InHandWakeup, ObserverThrowingFromTimeAdvanceUnwindsTheSleeper) {
+    // The lone sleeper advances time on its own stack; the throw unwinds it,
+    // and its wakeup, held at that moment, is not left behind as activity.
+    struct Thrower final : KernelObserver {
+        void on_time_advance(SimTime now) override {
+            if (now == 3_us) {
+                throw SimulationAbort{"observer"};
+            }
+        }
+    } thrower;
+    for (const bool company : {false, true}) {
+        Kernel k{cfg()};
+        k.set_observer(&thrower);
+        bool unwound = false;
+        Process* p = k.spawn("p", [&] {
+            struct Guard {
+                bool& flag;
+                ~Guard() { flag = true; }
+            } guard{unwound};
+            for (;;) {
+                k.waitfor(1_us);
+            }
+        });
+        if (company) {
+            k.spawn("late", [&] { k.waitfor(50_us); });
+        }
+        EXPECT_EQ(k.run_until(10_us), company);
+        EXPECT_TRUE(k.aborted());
+        EXPECT_TRUE(unwound);
+        EXPECT_EQ(p->state(), ProcState::Killed);
+        EXPECT_EQ(k.now(), 3_us);
+    }
+}
+
+TEST_P(InHandWakeup, LoneWaitforZeroCountsOneAdvanceWithoutMovingTime) {
+    // time_advances counts advance_to steps, the same-instant one of
+    // waitfor(0) included.
+    Kernel k{cfg()};
+    k.spawn("p", [&] { k.waitfor(SimTime::zero()); });
+    k.run();
+    EXPECT_EQ(k.now(), SimTime::zero());
+    EXPECT_EQ(k.stats().time_advances, 1u);
+    EXPECT_EQ(k.stats().delta_cycles, 2u);
+}
+
+TEST(Kernel, TimerPostedWhileWakeupsFireWaitsForTheNextAdvance) {
+    // An observer posting a timer for the current instant while that
+    // instant's wakeups are delivered: every wakeup still lands in this
+    // advance, and the timer fires in a second advance to the same instant.
+    struct Poster final : KernelObserver {
+        void on_process_state(const Process&, ProcState from, ProcState to) override {
+            if (!posted && from == ProcState::WaitingTime && to == ProcState::Ready) {
+                posted = true;
+                k->post_at(k->now(), [this] { log->push_back("timer"); });
+            }
+        }
+        Kernel* k = nullptr;
+        std::vector<std::string>* log = nullptr;
+        bool posted = false;
+    } poster;
+    Kernel k;
+    std::vector<std::string> log;
+    poster.k = &k;
+    poster.log = &log;
+    k.set_observer(&poster);
+    for (const char* name : {"a", "b"}) {
+        k.spawn(name, [&k, &log, name] {
+            k.waitfor(5_us);
+            log.emplace_back(name);
+        });
+    }
+    k.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "timer"}));
+    EXPECT_EQ(k.stats().time_advances, 2u);
+    EXPECT_EQ(k.now(), 5_us);
+}
+
+// ---- Timer handles ----
+
+TEST(KernelTimer, CancelAfterFiringAndCancelTwiceAreNoOps) {
+    Kernel k;
+    int fired = 0;
+    const Kernel::TimerId done = k.post_at(1_us, [&] { ++fired; });
+    const Kernel::TimerId twice = k.post_at(2_us, [&] { fired += 10; });
+    k.cancel_timer(twice);
+    k.cancel_timer(twice);
+    EXPECT_FALSE(k.run_until(5_us));
+    EXPECT_EQ(fired, 1);
+    k.cancel_timer(done);
+    k.cancel_timer(done);
+    const Kernel::TimerId later = k.post_at(8_us, [&] { fired += 100; });
+    k.cancel_timer(done);
+    k.cancel_timer(twice);
+    EXPECT_TRUE(k.timer_pending(later));
+    k.run();
+    EXPECT_EQ(fired, 101);
+}
+
+TEST(KernelTimer, IdOfAReusedSlotNeverCancelsTheNewTimer) {
+    Kernel k;
+    std::vector<int> fired;
+    const Kernel::TimerId cancelled = k.post_at(1_us, [&] { fired.push_back(0); });
+    k.cancel_timer(cancelled);
+    const Kernel::TimerId second = k.post_at(2_us, [&] { fired.push_back(2); });
+    EXPECT_NE(second, cancelled);
+    k.cancel_timer(cancelled);
+    EXPECT_TRUE(k.timer_pending(second));
+    EXPECT_FALSE(k.timer_pending(cancelled));
+    (void)k.run_until(3_us);
+    const Kernel::TimerId third = k.post_at(4_us, [&] { fired.push_back(4); });
+    EXPECT_NE(third, second);
+    k.cancel_timer(second);  // fired; its slot now holds `third`
+    k.cancel_timer(cancelled);
+    EXPECT_TRUE(k.timer_pending(third));
+    k.run();
+    EXPECT_EQ(fired, (std::vector<int>{2, 4}));
+}
+
+TEST(KernelTimer, CancelDestroysTheCallbackCaptures) {
+    Kernel k;
+    auto token = std::make_shared<int>(0);
+    const Kernel::TimerId id = k.post_at(1_ms, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 2);
+    k.cancel_timer(id);
+    EXPECT_EQ(token.use_count(), 1);
+    k.run();
+    EXPECT_EQ(*token, 0);
+    EXPECT_EQ(k.now(), SimTime::zero());
+}
+
+TEST(KernelTimer, PendingCallbacksDieWithTheKernel) {
+    auto token = std::make_shared<int>(0);
+    {
+        Kernel k;
+        for (int i = 0; i < 3; ++i) {
+            k.post_at(microseconds(10 + i), [token] { ++*token; });
+        }
+        (void)k.post_at(1_us, [token] { ++*token; });
+        EXPECT_TRUE(k.run_until(5_us));
+        EXPECT_EQ(token.use_count(), 4);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 1);
 }
 
 // ---- Guard-page fallback (satellite: StackPool robustness) ----
